@@ -12,25 +12,39 @@ first p-1 symbols match, the sign of f^p(1/2) - 1/2, read through the
 prefix orientation, keeps steering until the residual drops below
 tolerance.
 
-Arithmetic runs in mpmath extended precision.  Near r = 4 the residual
-responds to parameter changes at a rate of order 4^p, so with p = 7 or 8
-one double-precision ulp in r already moves the residual by about 1e-13;
-float64 bisection cannot certify residuals at that tolerance (measured:
-best achievable 1.04e-13 for R L^5 C), while 30 significant digits leave
-orders of magnitude of headroom.  Located parameters are therefore
-reported as mpmath floats; cast with float() for display.
+Near r = 4 the residual responds to parameter changes at a rate of order
+4^p, so with p = 7 or 8 one double-precision ulp in r already moves the
+residual by about 1e-13: float64 bisection cannot certify residuals at
+that tolerance (measured: best achievable 1.04e-13 for R L^5 C).  The
+coarse steps need no such precision, so each call runs in two stages on
+one bisection path.  While the bracket is at least 2^-48 wide every
+midpoint is a dyadic number exact in float64, and a float64 orbit that
+carries a running bound on its own error decides every step whose
+comparisons clear their thresholds by more than that bound.  mpmath
+extended precision (30 significant digits, more for long periods) decides
+every other step and computes every reported residual, so the result is
+the one an all-mpmath bisection gives, to the last bit.  Located
+parameters are reported as mpmath floats; cast with float() for display.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import mpmath
 from mpmath import mpf
 
 from .errors import LocateError, NotMssError
-from .sequences import SeqLike, as_sequence, is_shift_maximal, sort_parity_lex
+from .sequences import (
+    _SYMBOL_RANK,
+    SeqLike,
+    as_sequence,
+    is_shift_maximal,
+    sort_parity_lex,
+)
 
 __all__ = [
     "MapParam",
@@ -43,10 +57,18 @@ __all__ = [
 
 _DEFAULT_EPS = 1e-12
 _DEFAULT_TOL = 1e-13
-_DEFAULT_DPS = 30
-_MAX_ITER = 200
+_MIN_DPS = 30
+_MIN_ITER = 200
 
-_RANK = {"L": 0, "C": 1, "R": 2}
+# Float stage.  Below a bracket width of 2^-48 midpoints in [3, 4] stop
+# being exact in float64.  One float64 step r*x*(1-x) with r <= 4 and x in
+# [0, 1] rounds by at most 3 * 2^-53 < 2^-50; the 1 + 2^-20 factor absorbs
+# the rounding of the error-bound update itself, and 2^-52 the rounding of
+# the comparisons.
+_FLOAT_WIDTH = 2.0**-48
+_STEP_ROUNDING = 2.0**-50
+_BOUND_INFLATION = 1 + 2.0**-20
+_COMPARE_SLACK = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -120,7 +142,24 @@ class LocatedSequence:
 _BELOW, _ABOVE, _MATCHED = -1, 1, 0
 
 
-def _probe(r: mpf, prefix: str, eps: mpf):
+def _r_parity(prefix: str) -> list[int]:
+    """Parity of the Rs before each position of ``prefix``, then of all of it."""
+    odd = [0]
+    for sym in prefix:
+        odd.append(odd[-1] ^ (sym == "R"))
+    return odd
+
+
+def _steer(got: str, want: str, odd: int) -> int:
+    """Verdict when the orbit reads ``got`` where the target has ``want``.
+
+    Parity-lex order: L < C < R, reversed after an odd number of Rs.
+    """
+    below = _SYMBOL_RANK[got] < _SYMBOL_RANK[want]
+    return _BELOW if below != bool(odd) else _ABOVE
+
+
+def _probe(r: mpf, prefix: str, odd: list[int], eps: mpf):
     """Compare the critical itinerary at r against the target prefix.
 
     Returns (verdict, gap): verdict _BELOW/_ABOVE from the first symbol
@@ -132,36 +171,81 @@ def _probe(r: mpf, prefix: str, eps: mpf):
     """
     half = r * 0 + 0.5  # exact, and inherits r's arithmetic context
     x = half
-    r_parity = 0
-    for want in prefix:
+    for i, want in enumerate(prefix):
         x = r * x * (1 - x)
         d = x - half
         if abs(d) <= eps:
             return _BELOW, None
         got = "R" if d > 0 else "L"
         if got != want:
-            diff = _RANK[got] - _RANK[want]
-            if r_parity:
-                diff = -diff
-            return (_BELOW, None) if diff < 0 else (_ABOVE, None)
-        if got == "R":
-            r_parity ^= 1
+            return _steer(got, want, odd[i]), None
     x = r * x * (1 - x)
     return _MATCHED, x - half
+
+
+def _probe_float(r: float, prefix: str, odd: list[int], eps: float, tol: float):
+    """Float64 twin of :func:`_probe` that answers only when certain.
+
+    ``err`` bounds the distance from the float orbit to the exact one,
+    which also bounds the far smaller error of the mpf orbit.  A step is
+    decided only when every comparison clears its threshold by
+    2 * err + 2^-52; otherwise, and whenever the closing residual may be
+    below ``tol`` (only the mpf path ends the search), returns None.
+    """
+    x = 0.5
+    err = 0.0
+    for i, want in enumerate(prefix):
+        err = (r * (abs(1 - 2 * x) + err) * err + _STEP_ROUNDING) * _BOUND_INFLATION
+        x = r * x * (1 - x)
+        d = x - 0.5
+        if abs(abs(d) - eps) <= 2 * err + _COMPARE_SLACK:
+            return None
+        if abs(d) <= eps:
+            return _BELOW
+        got = "R" if d > 0 else "L"
+        if got != want:
+            return _steer(got, want, odd[i])
+    err = (r * (abs(1 - 2 * x) + err) * err + _STEP_ROUNDING) * _BOUND_INFLATION
+    gap = r * x * (1 - x) - 0.5
+    if abs(gap) - tol <= 2 * err + _COMPARE_SLACK:
+        return None
+    return _steer("R" if gap > 0 else "L", "C", odd[-1])
+
+
+class _Contexts(threading.local):
+    """One private mpmath context per (thread, dps), so concurrent calls stay independent."""
+
+    def __init__(self):
+        self.by_dps = {}
+
+    def get(self, dps: int):
+        ctx = self.by_dps.get(dps)
+        if ctx is None:
+            ctx = self.by_dps[dps] = mpmath.ctx_mp.MPContext()
+            ctx.dps = dps
+        return ctx
+
+
+_CONTEXTS = _Contexts()
 
 
 def locate(
     seq: Union[SeqLike, str],
     tol: float = _DEFAULT_TOL,
     eps: float = _DEFAULT_EPS,
-    max_iter: int = _MAX_ITER,
-    dps: int = _DEFAULT_DPS,
+    max_iter: Optional[int] = None,
+    dps: Optional[int] = None,
 ) -> LocatedSequence:
     """Find the parameter whose critical orbit realizes ``seq``.
 
     The input must be an MSS-sequence; the degenerate period-1 word "C"
     maps to r = 2 directly.  Raises :class:`LocateError` when the
     bisection budget runs out before the residual drops below ``tol``.
+
+    The defaults grow with the period p: ``dps`` is
+    max(30, ceil(p log10 4) + ceil(-log10 tol) + 8) significant digits,
+    since the residual moves like 4^p per unit of r, and ``max_iter`` is
+    max(200, 2p + 60) bisection steps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -171,36 +255,41 @@ def locate(
     s = as_sequence(seq)
     if not s.symbols.startswith("R") or not is_shift_maximal(s):
         raise NotMssError(f"{s} is not an MSS-sequence")
+    p = s.period
+    if dps is None:
+        dps = max(_MIN_DPS, math.ceil(p * math.log10(4)) + math.ceil(-math.log10(tol)) + 8)
+    if max_iter is None:
+        max_iter = max(_MIN_ITER, 2 * p + 60)
     prefix = s.body
-    # A private arithmetic context keeps concurrent locate calls independent.
-    ctx = mpmath.ctx_mp.MPContext()
-    ctx.dps = dps
-    lo, hi = ctx.mpf(3), ctx.mpf(4)
+    odd = _r_parity(prefix)
+    ctx = _CONTEXTS.get(dps)
     eps_mp = ctx.mpf(eps)
     tol_mp = ctx.mpf(tol)
+    lo, hi = 3.0, 4.0  # float64 until the bracket is narrower than 2^-48
     for iteration in range(1, max_iter + 1):
         mid = (lo + hi) / 2
-        verdict, gap = _probe(mid, prefix, eps_mp)
-        if verdict == _MATCHED:
-            if abs(gap) < tol_mp:
-                # classify the closing step with the wider of the two
-                # bands so a loose tol still reads as C
-                word = itinerary(mid, s.period, max(eps, tol))
-                if word != s.symbols:
-                    raise LocateError(
-                        f"{s}: residual converged but itinerary reads {word}"
-                    )
-                return LocatedSequence(s.symbols, mid, float(abs(gap)), iteration)
-            # steer by the symbol the orbit would print at step p
-            sym = "R" if gap > 0 else "L"
-            diff = _RANK[sym] - _RANK["C"]
-            if prefix.count("R") % 2:
-                diff = -diff
-            verdict = _BELOW if diff < 0 else _ABOVE
+        verdict = _probe_float(mid, prefix, odd, eps, tol) if isinstance(mid, float) else None
+        if verdict is None:
+            r = ctx.mpf(mid)
+            verdict, gap = _probe(r, prefix, odd, eps_mp)
+            if verdict == _MATCHED:
+                if abs(gap) < tol_mp:
+                    # classify the closing step with the wider of the two
+                    # bands so a loose tol still reads as C
+                    word = itinerary(r, p, max(eps, tol))
+                    if word != s.symbols:
+                        raise LocateError(
+                            f"{s}: residual converged but itinerary reads {word}"
+                        )
+                    return LocatedSequence(s.symbols, r, float(abs(gap)), iteration)
+                # steer by the symbol the orbit would print at step p
+                verdict = _steer("R" if gap > 0 else "L", "C", odd[-1])
         if verdict == _BELOW:
             lo = mid
         else:
             hi = mid
+        if isinstance(lo, float) and hi - lo < _FLOAT_WIDTH:
+            lo, hi = ctx.mpf(lo), ctx.mpf(hi)
     raise LocateError(f"{s}: no convergence within {max_iter} bisection steps")
 
 
@@ -221,8 +310,8 @@ def verify_order(pmax: int, tol: float = _DEFAULT_TOL) -> bool:
     """Check that parameter order equals parity-lex order up to period pmax.
 
     Locates every sequence and verifies the parameters increase strictly
-    along the parity-lex sort.  Sized for pmax <= 12 (379 sequences, a few
-    seconds); larger values work but scale with the sequence count.
+    along the parity-lex sort.  Sized for pmax <= 12 (379 sequences);
+    larger values work but scale with the sequence count.
     """
     rows = order_report(pmax, tol=tol)
     return all(a.r_star < b.r_star for a, b in zip(rows, rows[1:]))

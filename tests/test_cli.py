@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from msskit.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +185,13 @@ class TestLocateVerbs:
         code, out, _ = run_cli(capsys, "verify-order", "--pmax", "4")
         assert code == 0
         assert out.splitlines()[-1] == "order OK over 4 sequences"
+
+    def test_verify_order_golden(self, capsys):
+        # Every parameter and residual printed to the last digit, against
+        # output recorded from the all-mpmath bisection.
+        code, out, _ = run_cli(capsys, "verify-order", "--pmax", "8")
+        assert code == 0
+        assert out == (DATA / "verify_order_p8.txt").read_text()
 
     def test_verify_order_json(self, capsys):
         code, out, _ = run_cli(capsys, "verify-order", "--pmax", "4", "--format", "json")

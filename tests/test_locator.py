@@ -1,7 +1,10 @@
 """Superstable parameter location in the logistic family."""
 
 import math
+import sys
+import threading
 
+import mpmath
 import pytest
 from mpmath import mpf
 
@@ -9,12 +12,60 @@ from msskit import (
     LocateError,
     MapParam,
     NotMssError,
+    enumerate_mss_structured,
     itinerary,
     locate,
     order_report,
     parity_lex_cmp,
     verify_order,
 )
+from msskit.locator import _probe_float, _r_parity
+
+
+def mpf_bisection(word, tol=1e-13, eps=1e-12, max_iter=200, dps=30):
+    """All-mpmath bisection, written apart from the library as an oracle.
+
+    Returns (sequence, r_star, residual, iterations), or None when the
+    budget runs out.
+    """
+    rank = {"L": 0, "C": 1, "R": 2}
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.dps = dps
+    lo, hi = ctx.mpf(3), ctx.mpf(4)
+    eps_mp, tol_mp = ctx.mpf(eps), ctx.mpf(tol)
+    for iteration in range(1, max_iter + 1):
+        mid = (lo + hi) / 2
+        half = mid * 0 + 0.5
+        x, odd = half, False
+        for want in word[:-1]:
+            x = mid * x * (1 - x)
+            d = x - half
+            if abs(d) <= eps_mp:
+                below = True
+                break
+            got = "R" if d > 0 else "L"
+            if got != want:
+                below = (rank[got] < rank[want]) != odd
+                break
+            odd ^= got == "R"
+        else:
+            gap = mid * x * (1 - x) - half
+            if abs(gap) < tol_mp:
+                return word, mid, float(abs(gap)), iteration
+            below = (gap <= 0) != odd  # the orbit reads L at step p, and L < C
+        if below:
+            lo = mid
+        else:
+            hi = mid
+    return None
+
+
+def default_dps(p):
+    return max(30, math.ceil(p * math.log10(4)) + 13 + 8)
+
+
+def extremal(p):
+    return "R" + "L" * (p - 2) + "C"
 
 
 class TestMapParam:
@@ -105,6 +156,67 @@ class TestLocate:
     def test_accepts_run_notation(self):
         found = locate("RL^2C")
         assert 3.96 < found.r_star < 3.961
+
+    @pytest.mark.parametrize("p", [34, 60])
+    def test_long_period_converges(self, p):
+        word = extremal(p)
+        found = locate(word)
+        assert found.residual < 1e-13
+        assert itinerary(found.r_star, p) == word
+
+    def test_explicit_budget_overrides_default(self):
+        # 30 digits cannot resolve p = 34; the default adds digits with p.
+        with pytest.raises(LocateError):
+            locate(extremal(34), dps=30)
+
+
+def _as_tuple(found):
+    return found.sequence, found.r_star, found.residual, found.iterations
+
+
+class TestFloatStage:
+    """The float64 stage must leave the all-mpmath bisection path intact."""
+
+    def test_identical_to_mpf_bisection(self):
+        words = [w for p in range(2, 11) for w in enumerate_mss_structured(p).words()]
+        assert len(words) == 116
+        words += [extremal(p) for p in range(2, 32)]
+        for word in words:
+            expected = mpf_bisection(word, dps=default_dps(len(word)))
+            assert _as_tuple(locate(word)) == expected, word
+
+    def test_abstains_near_located_parameter(self):
+        for word in ["RLC", "RLLRLC", "RLRRRLRC", extremal(12)]:
+            r_star = float(locate(word).r_star)
+            prefix = word[:-1]
+            for offset in (-1e-15, 0.0, 1e-15):
+                verdict = _probe_float(r_star + offset, prefix, _r_parity(prefix), 1e-12, 1e-13)
+                assert verdict is None, (word, offset)
+
+    def test_threads_stay_independent(self):
+        # Each thread works at its own precision, low enough to show in the
+        # residual; a context shared between threads would leak one
+        # thread's digits into another's results.
+        jobs = [(extremal(p), dps) for p in (10, 12) for dps in (18, 21, 24, 45)]
+        expected = [_as_tuple(locate(w, dps=dps)) for w, dps in jobs]
+        results = [None] * len(jobs)
+
+        def work(i):
+            for _ in range(3):
+                results[i] = _as_tuple(locate(jobs[i][0], dps=jobs[i][1]))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == expected
 
 
 class TestOrder:
