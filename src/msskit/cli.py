@@ -70,25 +70,24 @@ def _render(seq: str, expand: bool) -> str:
     return seq if expand else compress_exponents(seq)
 
 
-def _block_form_text(word: str) -> str:
-    form = block_decompose(word)
-    runs = ";".join(f"{n},{s}" for n, s in form.runs)
-    return f"q={form.q}:{runs}"
-
-
 def _cmd_enumerate(args) -> int:
     if args.method == "structured":
         enum = enumerate_mss_structured(args.period)
     else:
         enum = enumerate_mss_bruteforce(args.period, workers=_workers())
+    if args.format == "text":
+        for index, s in enumerate(enum):
+            sys.stdout.write(f"{index}\t{_render(s.symbols, args.expand)}\n")
+        return 0
     rows = []
     for index, s in enumerate(enum):
+        form = block_decompose(s)
         rows.append(
             {
                 "index": index,
                 "sequence": _render(s.symbols, args.expand),
-                "q": block_decompose(s).q,
-                "block_form": _block_form_text(s.symbols),
+                "q": form.q,
+                "block_form": f"q={form.q}:" + ";".join(f"{n},{b}" for n, b in form.runs),
                 "is_primary": is_primary(s),
             }
         )
@@ -101,7 +100,7 @@ def _cmd_enumerate(args) -> int:
                 "sequences": rows,
             }
         )
-    elif args.format == "csv":
+    else:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["index", "sequence", "q", "block_form", "is_primary"])
@@ -111,9 +110,6 @@ def _cmd_enumerate(args) -> int:
                  str(row["is_primary"]).lower()]
             )
         sys.stdout.write(buf.getvalue())
-    else:
-        for row in rows:
-            sys.stdout.write(f"{row['index']}\t{row['sequence']}\n")
     return 0
 
 

@@ -101,11 +101,8 @@ def _split_at(word: str, h: int) -> Optional[tuple[str, str]]:
     return inner, outer
 
 
-def factor_once(seq: SeqLike) -> Optional[tuple[AdmissibleSeq, AdmissibleSeq]]:
-    """One factorization with the shortest inner sequence, or None if primary.
-
-    Raises :class:`NotMssError` unless the input is shift-maximal.
-    """
+def _factorizations(seq: SeqLike):
+    """Lazy divisor scan: every factorization, shortest inner sequence first."""
     s = as_sequence(seq)
     if not is_shift_maximal(s):
         raise NotMssError(f"{s} is not an MSS-sequence")
@@ -117,25 +114,20 @@ def factor_once(seq: SeqLike) -> Optional[tuple[AdmissibleSeq, AdmissibleSeq]]:
         if split is not None:
             inner, outer = AdmissibleSeq(split[0]), AdmissibleSeq(split[1])
             assert compose(inner, outer).symbols == s.symbols
-            return inner, outer
-    return None
+            yield inner, outer
+
+
+def factor_once(seq: SeqLike) -> Optional[tuple[AdmissibleSeq, AdmissibleSeq]]:
+    """One factorization with the shortest inner sequence, or None if primary.
+
+    Raises :class:`NotMssError` unless the input is shift-maximal.
+    """
+    return next(_factorizations(seq), None)
 
 
 def factor_all(seq: SeqLike) -> list[tuple[AdmissibleSeq, AdmissibleSeq]]:
     """Every divisor-aligned factorization, shortest inner sequence first."""
-    s = as_sequence(seq)
-    if not is_shift_maximal(s):
-        raise NotMssError(f"{s} is not an MSS-sequence")
-    out = []
-    for h in range(2, s.period):
-        if s.period % h:
-            continue
-        split = _split_at(s.symbols, h)
-        if split is not None:
-            pair = (AdmissibleSeq(split[0]), AdmissibleSeq(split[1]))
-            assert compose(*pair).symbols == s.symbols
-            out.append(pair)
-    return out
+    return list(_factorizations(seq))
 
 
 def is_primary(seq: SeqLike) -> bool:

@@ -242,13 +242,15 @@ def locate(
     maps to r = 2 directly.  Raises :class:`LocateError` when the
     bisection budget runs out before the residual drops below ``tol``.
 
-    The defaults grow with the period p: ``dps`` is
+    The defaults grow with the period p and the tolerance: ``dps`` is
     max(30, ceil(p log10 4) + ceil(-log10 tol) + 8) significant digits,
     since the residual moves like 4^p per unit of r, and ``max_iter`` is
-    max(200, 2p + 60) bisection steps.
+    max(200, 2p + ceil(-log2 tol) + 60) bisection steps, which is 200 at
+    the default ``tol`` for every p <= 48.  ``tol`` must be finite and
+    positive.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     text = seq.symbols if not isinstance(seq, str) else seq
     if text == "C":
         return LocatedSequence("C", mpf(2), 0.0, 0)
@@ -259,7 +261,7 @@ def locate(
     if dps is None:
         dps = max(_MIN_DPS, math.ceil(p * math.log10(4)) + math.ceil(-math.log10(tol)) + 8)
     if max_iter is None:
-        max_iter = max(_MIN_ITER, 2 * p + 60)
+        max_iter = max(_MIN_ITER, 2 * p + math.ceil(-math.log2(tol)) + 60)
     prefix = s.body
     odd = _r_parity(prefix)
     ctx = _CONTEXTS.get(dps)

@@ -72,8 +72,11 @@ def expand_exponents(text: str) -> str:
     """Expand run notation: ``'RL^2RC'`` -> ``'RLLRC'``.
 
     Grammar: a sequence of letters R/L/C, each optionally followed by
-    ``^k`` with k a positive decimal integer.
+    ``^k`` with k a positive decimal integer.  A plain word of R, L and
+    C alone is returned as it is, without running the grammar.
     """
+    if isinstance(text, str) and not text.strip("RLC"):  # plain word
+        return text
     pos = 0
     out = []
     for match in _TOKEN_RE.finditer(text):
@@ -120,8 +123,7 @@ class AdmissibleSeq:
             raise NotAdmissibleError(f"{s!r}: admissible sequences have length >= 2")
         if s[-1] != "C":
             raise NotAdmissibleError(f"{s!r}: must end with C")
-        body = s[:-1]
-        if any(ch not in "RL" for ch in body):
+        if s[:-1].strip("RL"):  # non-empty iff a symbol is neither R nor L
             raise NotAdmissibleError(f"{s!r}: interior symbols must be R or L")
 
     @classmethod
@@ -261,9 +263,17 @@ def is_shift_maximal(seq: SeqLike) -> bool:
     """
     word = as_sequence(seq).symbols
     p = len(word)
+    rank = _SYMBOL_RANK
     for k in range(1, p):
-        if parity_lex_cmp(word[k:], word) is Ordering.GREATER:
-            return False
+        # Compare word[k:] with word in place: find the first difference,
+        # then orient it by the parity of the Rs in the common prefix.
+        i = k
+        while i < p and word[i] == word[i - k]:
+            i += 1
+        if i < p:
+            odd = word.count("R", k, i) % 2 == 1
+            if (rank[word[i]] > rank[word[i - k]]) != odd:
+                return False
     return True
 
 

@@ -70,14 +70,21 @@ class BlockForm:
     runs: tuple[tuple[int, str], ...]
 
     def reassemble(self) -> AdmissibleSeq:
+        return AdmissibleSeq(self._body() + "C")
+
+    def _body(self) -> str:
         head = "R" + "L" * self.q
-        return AdmissibleSeq(
-            "".join(head * n + s for n, s in self.runs) + "C"
-        )
+        return "".join(head * n + s for n, s in self.runs)
 
     @property
     def group_count(self) -> int:
         return len(self.runs)
+
+
+def _run_end(body: str, start: int) -> int:
+    """Index of the first R at or after ``start``, or the body length."""
+    end = body.find("R", start)
+    return end if end >= 0 else len(body)
 
 
 def block_decompose(seq: SeqLike) -> BlockForm:
@@ -90,44 +97,29 @@ def block_decompose(seq: SeqLike) -> BlockForm:
     body = s.body
     if not body.startswith("R"):
         raise NotAdmissibleError(f"{s}: block form requires a leading R")
-    q = 0
-    while 1 + q < len(body) and body[1 + q] == "L":
-        q += 1
-
-    head_marker = object()
-    items: list = []
-    i = 0
-    while i < len(body):
-        # body[i] == 'R' here: each pass consumes one R and its L-run
-        j = i + 1
-        while j < len(body) and body[j] == "L":
-            j += 1
-        run = j - i - 1
-        if run > q:
-            raise RunLengthError(
-                f"{s}: L-run of {run} after position {i} exceeds head run {q}", i
-            )
-        if run == q:
-            items.append(head_marker)
-        else:
-            items.append(body[i:j])
-        i = j
-
+    # q is the L-run after the leading R; the first R followed by q + 1
+    # Ls starts the first over-long run.
+    q = _run_end(body, 1) - 1
+    pos = body.find("R" + "L" * (q + 1))
+    if pos >= 0:
+        run = _run_end(body, pos + 1) - pos - 1
+        raise RunLengthError(
+            f"{s}: L-run of {run} after position {pos} exceeds head run {q}", pos
+        )
+    # With no run above q, the head copies are exactly the occurrences of
+    # R L^q, and the pieces between them are the interior blocks.
     runs: list[tuple[int, str]] = []
-    idx = 0
-    while idx < len(items):
-        n = 0
-        while idx < len(items) and items[idx] is head_marker:
-            n += 1
-            idx += 1
-        chunk: list[str] = []
-        while idx < len(items) and items[idx] is not head_marker:
-            chunk.append(items[idx])
-            idx += 1
-        runs.append((n, "".join(chunk)))
+    n = 0
+    for block in body.split("R" + "L" * q)[1:]:
+        n += 1
+        if block:
+            runs.append((n, block))
+            n = 0
+    if n:
+        runs.append((n, ""))
 
     form = BlockForm(q, tuple(runs))
-    assert form.reassemble().symbols == s.symbols
+    assert form._body() == body
     return form
 
 

@@ -90,6 +90,14 @@ class TestEnumerate:
         _, b, _ = run_cli(capsys, "enumerate", "--period", "9", "--method", "bruteforce")
         assert a == b
 
+    @pytest.mark.parametrize("fmt, name", [("text", "enumerate_p10.txt"),
+                                           ("csv", "enumerate_p10.csv")])
+    def test_golden(self, capsys, fmt, name):
+        # Read as bytes so the csv writer's CRLF line ends are compared too.
+        code, out, _ = run_cli(capsys, "enumerate", "--period", "10", "--format", fmt)
+        assert code == 0
+        assert out == (DATA / name).read_bytes().decode()
+
     def test_compressed_output(self, capsys):
         _, out, _ = run_cli(capsys, "enumerate", "--period", "5", "--expand", "false")
         assert "RL^3C" in out
@@ -177,6 +185,13 @@ class TestLocateVerbs:
         assert abs(payload["r_star"] - 3.2360679774997) < 1e-9
         assert payload["residual"] < 1e-13
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_locate_rejects_bad_tol(self, capsys, tol):
+        code, out, err = run_cli(capsys, "locate", "RLC", "--tol", tol)
+        assert code == 1 and out == ""
+        assert err.startswith("error: tol must be finite and positive")
+        assert err.count("\n") == 1
+
     def test_locate_degenerate(self, capsys):
         code, out, _ = run_cli(capsys, "locate", "C")
         assert json.loads(out)["r_star"] == 2.0
@@ -205,6 +220,12 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest", "--pmax", "8", "--suite", "counting")
         assert code == 0
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_golden(self, capsys):
+        # Every suite's verdict and counts, byte for byte.
+        code, out, _ = run_cli(capsys, "selftest", "--pmax", "12")
+        assert code == 0
+        assert out == (DATA / "selftest_p12.txt").read_text()
 
     def test_unknown_suite_rejected(self):
         from msskit.selftest import run_selftest

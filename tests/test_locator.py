@@ -164,6 +164,12 @@ class TestLocate:
         assert found.residual < 1e-13
         assert itinerary(found.r_star, p) == word
 
+    def test_budget_grows_with_tolerance(self):
+        # 200 steps fall short of 1e-100; the default budget adds -log2 tol.
+        found = locate("RLRC", tol=1e-100)
+        assert found.residual < 1e-100
+        assert found.iterations > 200
+
     def test_explicit_budget_overrides_default(self):
         # 30 digits cannot resolve p = 34; the default adds digits with p.
         with pytest.raises(LocateError):

@@ -1,9 +1,10 @@
 """Core symbol-level machinery: encoding, shifts, ordering, maximality."""
 
 import itertools
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from msskit import (
     AdmissibleSeq,
@@ -30,7 +31,67 @@ words = st.text(alphabet="RL", min_size=0, max_size=12)
 candidates = st.builds(lambda mid: "R" + mid + "C", st.text(alphabet="RL", max_size=10))
 
 
+# The run-notation grammar as first written, token by token, kept here so
+# the plain-word shortcut in expand_exponents is checked against it.
+_GRAMMAR_TOKEN = re.compile(r"([RLC])(?:\^(\d+))?")
+
+
+def grammar_expand(text):
+    pos = 0
+    out = []
+    for match in _GRAMMAR_TOKEN.finditer(text):
+        if match.start() != pos:
+            raise NotAdmissibleError(f"cannot parse {text!r} at offset {pos}")
+        letter, exp = match.groups()
+        count = int(exp) if exp is not None else 1
+        if count < 1:
+            raise NotAdmissibleError(f"exponent must be positive in {text!r}")
+        out.append(letter * count)
+        pos = match.end()
+    if pos != len(text):
+        raise NotAdmissibleError(f"cannot parse {text!r} at offset {pos}")
+    return "".join(out)
+
+
+def grammar_parse(text):
+    s = grammar_expand(text)
+    if len(s) < 2:
+        raise NotAdmissibleError(f"{s!r}: admissible sequences have length >= 2")
+    if s[-1] != "C":
+        raise NotAdmissibleError(f"{s!r}: must end with C")
+    if any(ch not in "RL" for ch in s[:-1]):
+        raise NotAdmissibleError(f"{s!r}: interior symbols must be R or L")
+    return s
+
+
+def outcome(fn, text):
+    """Returned word, or exception type and message."""
+    try:
+        out = fn(text)
+    except Exception as err:  # noqa: BLE001 - the type is part of the outcome
+        return type(err), str(err)
+    return out.symbols if isinstance(out, AdmissibleSeq) else out
+
+
+plain = st.text(alphabet="RLC", max_size=12)
+run_texts = st.one_of(
+    plain,
+    # a plain word with one foreign character: the edge of the shortcut
+    st.builds(lambda a, ch, b: a + ch + b, plain, st.sampled_from("^0123x "), plain),
+    st.text(alphabet="RLC^0123x ", max_size=12),
+)
+
+
 class TestParsing:
+    @settings(max_examples=500)
+    @given(run_texts)
+    @example("")
+    @example("RL^0C")
+    @example("RL^12C")
+    def test_matches_grammar(self, text):
+        assert outcome(expand_exponents, text) == outcome(grammar_expand, text)
+        assert outcome(AdmissibleSeq.parse, text) == outcome(grammar_parse, text)
+
     def test_expand(self):
         assert expand_exponents("RL^2RC") == "RLLRC"
         assert expand_exponents("R^3LC") == "RRRLC"
