@@ -33,7 +33,7 @@ from .composition import compose, factor_once, factor_tree, is_primary
 from .counting import CountReport, blocks_report, cores_report, single_group_report
 from .errors import MssKitError
 from .generators import enumerate_mss_bruteforce, enumerate_mss_structured
-from .locator import locate, order_report
+from .locator import _increasing, locate, order_report
 from .selftest import run_selftest
 from .sequences import compress_exponents, parse_sequence
 from .structure import block_decompose, is_mss_structured
@@ -234,7 +234,7 @@ def _cmd_locate(args) -> int:
 
 def _cmd_verify_order(args) -> int:
     rows = order_report(args.pmax)
-    ok = all(a.r_star < b.r_star for a, b in zip(rows, rows[1:]))
+    ok = _increasing(rows)
     if args.format == "json":
         _emit_json(
             {

@@ -15,16 +15,28 @@ tolerance.
 Near r = 4 the residual responds to parameter changes at a rate of order
 4^p, so with p = 7 or 8 one double-precision ulp in r already moves the
 residual by about 1e-13: float64 bisection cannot certify residuals at
-that tolerance (measured: best achievable 1.04e-13 for R L^5 C).  The
-coarse steps need no such precision, so each call runs in two stages on
-one bisection path.  While the bracket is at least 2^-48 wide every
-midpoint is a dyadic number exact in float64, and a float64 orbit that
-carries a running bound on its own error decides every step whose
-comparisons clear their thresholds by more than that bound.  mpmath
-extended precision (30 significant digits, more for long periods) decides
-every other step and computes every reported residual, so the result is
-the one an all-mpmath bisection gives, to the last bit.  Located
-parameters are reported as mpmath floats; cast with float() for display.
+that tolerance (measured: best achievable 1.04e-13 for R L^5 C).  Most
+steps need no such precision, so each call runs three stages on one
+bisection path, each answering only what it can prove:
+
+1. float64: while the bracket is at least 2^-48 wide every midpoint is a
+   dyadic number exact in float64, and a float64 orbit that carries a
+   running bound on its own error decides every step whose comparisons
+   clear their thresholds by more than that bound;
+2. fixed point: on Python integers x = X / 2^P, with P four bits below
+   the mpmath working precision, the same kind of bound also covers the
+   rounding of the mpmath orbit, so a step decided here is the step
+   mpmath would take;
+3. mpmath extended precision (30 significant digits, more for long
+   periods) decides every step the other two leave open and is the only
+   stage that ends the search, so it computes every reported residual.
+
+A stage abstains instead of guessing, so every step goes the way an
+all-mpmath bisection takes it and the result (parameter, residual and
+step count) is that bisection's, to the last bit, whichever stage
+decided each step.  In practice mpmath runs once per call, on the step
+that ends the search.  Located parameters are reported as mpmath floats;
+cast with float() for display.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from typing import Optional, Union
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import from_float, to_fixed
 
 from .errors import LocateError, NotMssError
 from .sequences import (
@@ -69,6 +82,19 @@ _FLOAT_WIDTH = 2.0**-48
 _STEP_ROUNDING = 2.0**-50
 _BOUND_INFLATION = 1 + 2.0**-20
 _COMPARE_SLACK = 2.0**-52
+
+# Fixed-point stage, in units of 2^-P with P = working precision - 4.
+# Below 53 bits it could not beat the float stage; above 1000 its error
+# bound, a float, would leave the float range.  One step floors by under
+# one unit, and the mpmath step r*x*(1-x) (three roundings to nearest,
+# each value at most 4) errs by under 9 * 2^-prec < one unit, so a step
+# of two units covers either orbit; the comparison slack covers the
+# floored thresholds and the rounding of the mpmath difference x - 1/2.
+_FIXED_GUARD_BITS = 4
+_MIN_FIXED_BITS = 53
+_MAX_FIXED_BITS = 1000
+_FIXED_STEP = 2.0
+_FIXED_SLACK = 2
 
 
 @dataclass(frozen=True)
@@ -212,6 +238,50 @@ def _probe_float(r: float, prefix: str, odd: list[int], eps: float, tol: float):
     return _steer("R" if gap > 0 else "L", "C", odd[-1])
 
 
+def _probe_fixed(mid, prefix: str, odd: list[int], bits: int, eps_fix: int, tol_fix: int):
+    """Fixed-point twin of :func:`_probe` that answers only when certain.
+
+    The orbit runs on integers X = x 2^bits at the midpoint, which must
+    be a multiple of 2^-bits; ``eps_fix`` and ``tol_fix`` are the mpmath
+    thresholds in the same units, floored.  ``err``, in units of 2^-bits,
+    bounds the distance from the exact orbit of both this orbit and the
+    mpmath one, so they are at most 2 * err apart; its update reads
+    |1 - 2x| off this orbit, which the mpmath orbit may be 2 * err away
+    from, hence 3 * err.  A step is decided only when every comparison
+    clears its threshold by 2 * err + ``_FIXED_SLACK``; otherwise, when
+    the midpoint is off the grid, and whenever the closing residual may
+    be below ``tol`` (only the mpf path ends the search), returns None.
+    """
+    _, man, exp, _ = from_float(mid) if isinstance(mid, float) else mid._mpf_
+    if exp + bits < 0:  # man is odd, so mid is off the grid
+        return None
+    r_fix = man << (exp + bits)
+    r = float(mid)
+    one = 1 << bits
+    half = one >> 1
+    shift = 2 * bits
+    scale = 2.0**-bits
+    x = half
+    err = 0.0
+    for i, want in enumerate(prefix):
+        err = (r * (abs(one - 2 * x) + 3 * err) * err * scale + _FIXED_STEP) * _BOUND_INFLATION
+        x = r_fix * x * (one - x) >> shift
+        d = x - half
+        dist = abs(d)
+        if abs(dist - eps_fix) <= 2 * err + _FIXED_SLACK:
+            return None
+        if dist <= eps_fix:
+            return _BELOW
+        got = "R" if d > 0 else "L"
+        if got != want:
+            return _steer(got, want, odd[i])
+    err = (r * (abs(one - 2 * x) + 3 * err) * err * scale + _FIXED_STEP) * _BOUND_INFLATION
+    gap = (r_fix * x * (one - x) >> shift) - half
+    if abs(gap) - tol_fix <= 2 * err + _FIXED_SLACK:
+        return None
+    return _steer("R" if gap > 0 else "L", "C", odd[-1])
+
+
 class _Contexts(threading.local):
     """One private mpmath context per (thread, dps), so concurrent calls stay independent."""
 
@@ -247,10 +317,24 @@ def locate(
     since the residual moves like 4^p per unit of r, and ``max_iter`` is
     max(200, 2p + ceil(-log2 tol) + 60) bisection steps, which is 200 at
     the default ``tol`` for every p <= 48.  ``tol`` must be finite and
-    positive.
+    positive, ``eps`` finite and >= 0, and an explicit ``dps`` or
+    ``max_iter`` at least 1; anything else raises ``ValueError``.
+
+    Each bisection step is decided by the first of three stages that can
+    prove its verdict: a float64 probe, a fixed-point integer probe, and
+    the mpmath probe at ``dps`` digits (see the module docstring).  The
+    first two abstain unless the mpmath probe would certainly give the
+    same verdict, and only the mpmath probe ends the search, so the
+    result is the all-mpmath bisection's whichever stage decides a step.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+    if dps is not None and dps < 1:
+        raise ValueError(f"dps must be >= 1, got {dps!r}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     text = seq.symbols if not isinstance(seq, str) else seq
     if text == "C":
         return LocatedSequence("C", mpf(2), 0.0, 0)
@@ -267,10 +351,16 @@ def locate(
     ctx = _CONTEXTS.get(dps)
     eps_mp = ctx.mpf(eps)
     tol_mp = ctx.mpf(tol)
+    bits = ctx.prec - _FIXED_GUARD_BITS
+    fixed = _MIN_FIXED_BITS <= bits <= _MAX_FIXED_BITS
+    eps_fix = to_fixed(eps_mp._mpf_, bits)
+    tol_fix = to_fixed(tol_mp._mpf_, bits)
     lo, hi = 3.0, 4.0  # float64 until the bracket is narrower than 2^-48
     for iteration in range(1, max_iter + 1):
         mid = (lo + hi) / 2
         verdict = _probe_float(mid, prefix, odd, eps, tol) if isinstance(mid, float) else None
+        if verdict is None and fixed:
+            verdict = _probe_fixed(mid, prefix, odd, bits, eps_fix, tol_fix)
         if verdict is None:
             r = ctx.mpf(mid)
             verdict, gap = _probe(r, prefix, odd, eps_mp)
@@ -315,5 +405,9 @@ def verify_order(pmax: int, tol: float = _DEFAULT_TOL) -> bool:
     along the parity-lex sort.  Sized for pmax <= 12 (379 sequences);
     larger values work but scale with the sequence count.
     """
-    rows = order_report(pmax, tol=tol)
+    return _increasing(order_report(pmax, tol=tol))
+
+
+def _increasing(rows: list[LocatedSequence]) -> bool:
+    """True when the located parameters increase strictly along ``rows``."""
     return all(a.r_star < b.r_star for a, b in zip(rows, rows[1:]))

@@ -27,7 +27,7 @@ from .counting import (
 )
 from .errors import ShapeError
 from .generators import enumerate_blocks, enumerate_mss_bruteforce, enumerate_mss_structured
-from .sequences import is_shift_maximal, is_shift_maximal_signs
+from .sequences import AdmissibleSeq, is_shift_maximal, is_shift_maximal_signs
 from .structure import is_mss_structured
 
 __all__ = ["CheckResult", "SUITES", "run_selftest"]
@@ -43,18 +43,18 @@ class CheckResult:
 
 def _all_candidates(p: int):
     for mid in itertools.product("RL", repeat=p - 2):
-        yield "R" + "".join(mid) + "C"
+        yield AdmissibleSeq("R" + "".join(mid) + "C")
 
 
 def _suite_oracle(pmax: int, workers: int) -> list[CheckResult]:
     disagreements = 0
     checked = 0
     for p in range(2, pmax + 1):
-        for word in _all_candidates(p):
+        for seq in _all_candidates(p):  # parsed once, shared by the three routes
             checked += 1
-            a = is_shift_maximal(word)
-            b = is_shift_maximal_signs(word)
-            c = is_mss_structured(word).is_mss
+            a = is_shift_maximal(seq)
+            b = is_shift_maximal_signs(seq)
+            c = is_mss_structured(seq).is_mss
             if not (a == b == c):
                 disagreements += 1
     return [

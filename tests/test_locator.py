@@ -1,8 +1,10 @@
 """Superstable parameter location in the logistic family."""
 
 import math
+import random
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -19,7 +21,10 @@ from msskit import (
     parity_lex_cmp,
     verify_order,
 )
-from msskit.locator import _probe_float, _r_parity
+from msskit import locator
+from msskit.locator import _probe_fixed, _probe_float, _r_parity
+
+from conftest import brute_shift_maximal
 
 
 def mpf_bisection(word, tol=1e-13, eps=1e-12, max_iter=200, dps=30):
@@ -66,6 +71,26 @@ def default_dps(p):
 
 def extremal(p):
     return "R" + "L" * (p - 2) + "C"
+
+
+def default_args(p, tol=1e-13):
+    """The library's default dps and max_iter, restated for the oracle."""
+    return {
+        "dps": max(30, math.ceil(p * math.log10(4)) + math.ceil(-math.log10(tol)) + 8),
+        "max_iter": max(200, 2 * p + math.ceil(-math.log2(tol)) + 60),
+    }
+
+
+def random_mss_words(seed, count, pmin, pmax):
+    """Seeded sample of MSS words, drawn as candidates and kept if maximal."""
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        p = rng.randint(pmin, pmax)
+        word = "R" + "".join(rng.choice("RL") for _ in range(p - 2)) + "C"
+        if brute_shift_maximal(word):
+            words.append(word)
+    return words
 
 
 class TestMapParam:
@@ -252,3 +277,121 @@ class TestOrder:
         assert all(g > 0 for g in gaps)
         assert min(gaps) > 10 * 1e-13
         assert all(r.residual < 1e-13 for r in rows)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_bad_eps(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            locate("RLC", eps=eps)
+
+    @pytest.mark.parametrize("dps", [0, -5])
+    def test_rejects_bad_dps(self, dps):
+        with pytest.raises(ValueError, match="dps"):
+            locate("RLC", dps=dps)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_rejects_bad_max_iter(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            locate("RLC", max_iter=max_iter)
+
+    def test_zero_eps_still_locates(self):
+        found = locate("RLC", eps=0)
+        assert _as_tuple(found) == mpf_bisection("RLC", eps=0)
+        assert _as_tuple(found) == _as_tuple(locate("RLC"))
+
+
+class TestFixedStage:
+    """The fixed-point stage must leave the all-mpmath bisection path intact."""
+
+    def test_identical_on_random_words(self):
+        words = random_mss_words(seed=20240611, count=24, pmin=11, pmax=40)
+        for word in words:
+            expected = mpf_bisection(word, **default_args(len(word)))
+            assert expected is not None, word
+            assert _as_tuple(locate(word)) == expected, word
+
+    def test_identical_on_long_extremal_words(self):
+        for p in range(32, 61):
+            word = extremal(p)
+            expected = mpf_bisection(word, **default_args(p))
+            assert expected is not None, word
+            assert _as_tuple(locate(word)) == expected, word
+
+    @pytest.mark.parametrize("tol", [1e-20, 1e-100])
+    def test_identical_at_tight_tolerance(self, tol):
+        expected = mpf_bisection("RLRC", tol=tol, **default_args(4, tol))
+        assert _as_tuple(locate("RLRC", tol=tol)) == expected
+
+    def test_identical_at_explicit_dps_and_zero_eps(self):
+        words = [w for p in range(2, 9) for w in enumerate_mss_structured(p).words()]
+        words += [extremal(12), extremal(24)]
+        for word in words:
+            assert _as_tuple(locate(word, dps=45)) == mpf_bisection(word, dps=45), word
+            expected = mpf_bisection(word, eps=0, **default_args(len(word)))
+            assert _as_tuple(locate(word, eps=0)) == expected, word
+
+    def test_abstains_near_located_parameter(self):
+        for word in ["RLC", "RLLRLC", "RLRRRLRC", extremal(12)]:
+            ctx = mpmath.ctx_mp.MPContext()
+            ctx.dps = default_dps(len(word))
+            bits = ctx.prec - 4
+            unit = ctx.ldexp(1, -bits)
+            eps_fix = math.floor(Fraction(1e-12) * 2**bits)
+            tol_fix = math.floor(Fraction(1e-13) * 2**bits)
+            r_star = ctx.mpf(locate(word).r_star)
+            prefix = word[:-1]
+            odd = _r_parity(prefix)
+
+            def probe(steps):
+                # offsets on the 2^-bits grid, so no answer is lost to rounding
+                mid = r_star + steps * unit
+                return _probe_fixed(mid, prefix, odd, bits, eps_fix, tol_fix)
+
+            near = round(1e-30 / unit)
+            assert near >= 1
+            for steps in (-near, 0, near):
+                assert probe(steps) is None, (word, steps)
+            # far from r*, the same probe does decide
+            far = round(1e-6 / unit)
+            assert {probe(-far), probe(far)} == {locator._BELOW, locator._ABOVE}, word
+
+    def test_abstains_when_a_threshold_is_within_the_margin(self):
+        # Away from r* the probe decides; moving eps or tol to within a few
+        # units of an orbit distance it compares against must make it abstain.
+        word = "RLRRRLRC"
+        prefix, odd = word[:-1], _r_parity(word[:-1])
+        ctx = mpmath.ctx_mp.MPContext()
+        ctx.dps = default_dps(len(word))
+        bits = ctx.prec - 4
+        mid = ctx.mpf(locate(word).r_star) - ctx.ldexp(1, -30)
+        big = int(mid * 2**bits)
+        assert big == mid * 2**bits
+        one, x, dists = 1 << bits, 1 << (bits - 1), []
+        for _ in word:
+            x = big * x * (one - x) >> 2 * bits
+            dists.append(abs(x - (one >> 1)))
+        closest, gap = min(dists[:-1]), dists[-1]
+        eps_fix = math.floor(Fraction(1e-12) * 2**bits)
+        tol_fix = math.floor(Fraction(1e-13) * 2**bits)
+        assert _probe_fixed(mid, prefix, odd, bits, eps_fix, tol_fix) is not None
+        assert _probe_fixed(mid, prefix, odd, bits, eps_fix, gap // 2) is not None
+        for units in (1, 5):
+            assert _probe_fixed(mid, prefix, odd, bits, closest - units, tol_fix) is None
+            assert _probe_fixed(mid, prefix, odd, bits, eps_fix, gap - units) is None
+
+    def test_mpf_runs_once_per_call(self, monkeypatch):
+        # The float and fixed-point stages decide every step but the last.
+        calls = []
+        probe = locator._probe
+
+        def counted(*args):
+            calls.append(args[1])
+            return probe(*args)
+
+        monkeypatch.setattr(locator, "_probe", counted)
+        rows = order_report(8)
+        assert len(calls) == len(rows) > 30
+        calls.clear()
+        locate(extremal(40))
+        assert len(calls) == 1
