@@ -24,11 +24,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .composition import factor_all, is_primary
-from .generators import (
-    enumerate_blocks,
-    enumerate_mss_bruteforce,
-    enumerate_mss_structured,
-)
+from .generators import enumerate_blocks, enumerate_mss_structured
+from .sequences import AdmissibleSeq
 from .structure import block_decompose
 
 __all__ = [
@@ -143,40 +140,30 @@ class CountReport:
         return self.enumerated_value is None or self.enumerated_value == self.formula_value
 
 
-def _single_group_form(word: str):
+def _single_group_form(seq: AdmissibleSeq):
     """Return the head run length when the block form is one single-copy
     group, else None."""
-    form = block_decompose(word)
+    form = block_decompose(seq)
     if form.group_count == 1 and form.runs[0][0] == 1:
         return form.q
     return None
 
 
-def enumerated_single_group_nonprimary(p: int, method: str = "structured") -> int:
-    enum = (
-        enumerate_mss_structured(p)
-        if method == "structured"
-        else enumerate_mss_bruteforce(p)
-    )
+def enumerated_single_group_nonprimary(p: int) -> int:
     count = 0
-    for s in enum:
-        if _single_group_form(s.symbols) is not None and not is_primary(s):
+    for s in enumerate_mss_structured(p):
+        if _single_group_form(s) is not None and not is_primary(s):
             count += 1
     return count
 
 
-def enumerated_core_factors(p: int, method: str = "structured") -> set[str]:
+def enumerated_core_factors(p: int) -> set[str]:
     """Distinct single-group inner factors (head run >= 1) found by factoring
     every period-p sequence across all divisor alignments."""
-    enum = (
-        enumerate_mss_structured(p)
-        if method == "structured"
-        else enumerate_mss_bruteforce(p)
-    )
     cores: set[str] = set()
-    for s in enum:
+    for s in enumerate_mss_structured(p):
         for inner, _outer in factor_all(s):
-            q = _single_group_form(inner.symbols)
+            q = _single_group_form(inner)
             if q is not None and q >= 1:
                 cores.add(inner.symbols)
     return cores

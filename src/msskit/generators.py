@@ -10,10 +10,17 @@ q-1 without ever scanning a rejected word.
 
 ``enumerate_mss_structured`` assembles candidate sequences from head
 groups and interior blocks and keeps the ones the structured test
-accepts.  ``enumerate_mss_bruteforce`` filters the full candidate space
+accepts.  Each candidate is built from its block form with a single
+leading head group, nonempty blocks and no L-run above q, so it passes
+the test's filters by construction, and the form goes straight to the
+test's private core instead of being parsed back out of the word.  A
+candidate with one head group has no critical shift, and the test
+accepts every such word, so it is kept without a call.
+``enumerate_mss_bruteforce`` filters the full candidate space
 ``R {L,R}^(p-2) C`` with the direct shift-maximality test and serves as
 the oracle the structured path is validated against (practical up to
-p around 22).
+p around 22).  Both sort their words of one period by a compact integer
+form of the sign sequence rather than by the pairwise comparator.
 
 ``derive_later_blocks`` produces, for a fixed first interior block, the
 blocks that may legally follow it in longer sequences: exactly the words
@@ -30,13 +37,13 @@ from dataclasses import dataclass
 from .errors import NotAdmissibleError
 from .sequences import (
     AdmissibleSeq,
+    _shift_maximal_word,
+    _sign_rank,
     decode_signs,
-    is_shift_maximal,
     max_l_run,
-    parity_lex_cmp,
     sign_sequence,
 )
-from .structure import is_mss_structured
+from .structure import BlockForm, _test_form
 
 __all__ = [
     "PeriodEnumeration",
@@ -172,27 +179,17 @@ def _positive_compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _assemble(q: int, exponents: tuple[int, ...], blocks: tuple[str, ...]) -> str:
-    head = "R" + "L" * q
-    parts = [head, blocks[0]]
-    for n, s in zip(exponents, blocks[1:]):
-        parts.append(head * n)
-        parts.append(s)
-    parts.append("C")
-    return "".join(parts)
+def _candidates(p: int):
+    """Every candidate word of period p with the block form it was built from.
 
-
-def enumerate_mss_structured(p: int) -> PeriodEnumeration:
-    """All MSS-sequences of period p via structured candidate assembly.
-
-    Candidates are built per head run q: the bare ``R L^(p-2) C`` family,
-    then for each group count the exponent vectors and interior-block
-    choices that reach period p, each candidate filtered through the
-    structured test.  Output is sorted in parity-lex order.
+    Per head run q: the bare ``R L^(p-2) C``, then for each group count
+    the exponent vectors and interior-block choices that reach period p.
+    Every form has a single leading head group, interior blocks whose
+    L-runs stay below q, and, with two or more groups, only nonempty
+    blocks: each passes the filters of the structured test by
+    construction.
     """
-    if p < 2:
-        raise ValueError("period must be >= 2")
-    accepted: list[str] = ["R" + "L" * (p - 2) + "C"]
+    yield "R" + "L" * (p - 2) + "C", BlockForm(p - 2, ((1, ""),))
     body_len = p - 1
     for q in range(1, p - 2):
         unit = q + 1
@@ -201,9 +198,7 @@ def enumerate_mss_structured(p: int) -> PeriodEnumeration:
             if r == 1:
                 m = body_len - unit
                 for s1 in _blocks_cached(m, q - 1):
-                    word = "R" + "L" * q + s1 + "C"
-                    if is_mss_structured(word).is_mss:
-                        accepted.append(word)
+                    yield "R" + "L" * q + s1 + "C", BlockForm(q, ((1, s1),))
                 continue
             exp_budget = (body_len - r) // unit - 1  # total extra head copies
             if exp_budget < r - 1:
@@ -217,11 +212,29 @@ def enumerate_mss_structured(p: int) -> PeriodEnumeration:
                     for blocks in itertools.product(
                         *(_blocks_cached(m, q - 1) for m in lens)
                     ):
-                        word = _assemble(q, exponents, blocks)
-                        if is_mss_structured(word).is_mss:
-                            accepted.append(word)
-    ordered = sorted(accepted, key=functools.cmp_to_key(parity_lex_cmp))
-    return PeriodEnumeration(p, tuple(AdmissibleSeq(w) for w in ordered))
+                        runs = ((1, blocks[0]),) + tuple(zip(exponents, blocks[1:]))
+                        form = BlockForm(q, runs)
+                        yield form._body() + "C", form
+
+
+def enumerate_mss_structured(p: int) -> PeriodEnumeration:
+    """All MSS-sequences of period p via structured candidate assembly.
+
+    Each candidate comes with the block form it was assembled from, and
+    that form goes straight to the critical-shift comparisons of the
+    structured test: nothing is parsed or decomposed again.  A candidate
+    with a single head group is accepted without a test, as the test
+    accepts every such word.  Output is sorted in parity-lex order.
+    """
+    if p < 2:
+        raise ValueError("period must be >= 2")
+    accepted = [
+        word
+        for word, form in _candidates(p)
+        if form.group_count == 1 or _test_form(form, word).is_mss
+    ]
+    accepted.sort(key=_sign_rank)
+    return PeriodEnumeration(p, tuple(AdmissibleSeq(w) for w in accepted))
 
 
 def _bruteforce_words(p: int, prefix: str = "") -> list[str]:
@@ -230,7 +243,7 @@ def _bruteforce_words(p: int, prefix: str = "") -> list[str]:
     out = []
     for mid in itertools.product("RL", repeat=free):
         word = "R" + prefix + "".join(mid) + "C"
-        if is_shift_maximal(word):
+        if _shift_maximal_word(word):
             out.append(word)
     return out
 
@@ -258,5 +271,5 @@ def enumerate_mss_bruteforce(p: int, workers: int = 1) -> PeriodEnumeration:
         words = [w for chunk in chunks for w in chunk]
     else:
         words = _bruteforce_words(p)
-    ordered = sorted(words, key=functools.cmp_to_key(parity_lex_cmp))
-    return PeriodEnumeration(p, tuple(AdmissibleSeq(w) for w in ordered))
+    words.sort(key=_sign_rank)
+    return PeriodEnumeration(p, tuple(AdmissibleSeq(w) for w in words))

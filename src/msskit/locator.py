@@ -56,7 +56,7 @@ from .sequences import (
     SeqLike,
     as_sequence,
     is_shift_maximal,
-    sort_parity_lex,
+    sign_sequence,
 )
 
 __all__ = [
@@ -394,8 +394,8 @@ def order_report(pmax: int, tol: float = _DEFAULT_TOL) -> list[LocatedSequence]:
     seqs = []
     for p in range(2, pmax + 1):
         seqs.extend(enumerate_mss_structured(p).words())
-    ordered = sort_parity_lex(seqs)
-    return [locate(w, tol=tol) for w in ordered]
+    seqs.sort(key=sign_sequence)  # no two admissible sequences compare equal
+    return [locate(w, tol=tol) for w in seqs]
 
 
 def verify_order(pmax: int, tol: float = _DEFAULT_TOL) -> bool:

@@ -192,6 +192,8 @@ SUITES = {
 
 
 def run_selftest(pmax: int = 14, suites=None, workers: int = 1) -> list[CheckResult]:
+    if pmax < 2:
+        raise ValueError("pmax must be >= 2")
     chosen = list(SUITES) if not suites else list(suites)
     results = []
     for name in chosen:

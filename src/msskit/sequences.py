@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _SYMBOL_RANK = {"L": 0, "C": 1, "R": 2}
+_R_BITS = str.maketrans("RL", "10", "C")
 
 _TOKEN_RE = re.compile(r"([RLC])(?:\^(\d+))?")
 
@@ -261,7 +262,11 @@ def is_shift_maximal(seq: SeqLike) -> bool:
 
     The empty shift (k = period) is vacuously dominated and skipped.
     """
-    word = as_sequence(seq).symbols
+    return _shift_maximal_word(as_sequence(seq).symbols)
+
+
+def _shift_maximal_word(word: str) -> bool:
+    """:func:`is_shift_maximal` on a plain word already known to be admissible."""
     p = len(word)
     rank = _SYMBOL_RANK
     for k in range(1, p):
@@ -317,6 +322,34 @@ def max_l_run(word: str) -> int:
     return best
 
 
+def _sign_rank(word: str) -> int:
+    """Sort key for admissible words of one period, in the order of
+    :func:`sign_sequence` (so of :func:`parity_lex_cmp`).
+
+    Entry i of the sign sequence is +1 exactly when ``word[: i + 1]``
+    holds an odd number of Rs, so reading R as 1 and L as 0, the entries
+    are the prefix parities of those bits: the inverse Gray code of the
+    body read as a binary number.  The final C is dropped, since every
+    word of the period ends with it.  A small int keeps the sort key
+    compact where a sign tuple would hold one reference per symbol.
+    """
+    n = int(word.translate(_R_BITS), 2)
+    size = len(word)
+    step = 1
+    while step < size:
+        n ^= n >> step
+        step <<= 1
+    return n
+
+
 def sort_parity_lex(items: Iterable[SeqLike]) -> list:
-    """Sort words or sequences into increasing parity-lexicographic order."""
+    """Sort words or sequences into increasing parity-lexicographic order.
+
+    This keeps the comparison sort on purpose.  Over plain words,
+    :func:`parity_lex_cmp` reads a word and its own prefix as EQUAL, and
+    the stable sort keeps such words in input order; a key sort by
+    :func:`sign_sequence` would put the prefix first.  Where every item
+    is an admissible sequence no two are ever equal, and callers that
+    hold only those sort with ``key=sign_sequence`` instead.
+    """
     return sorted(items, key=functools.cmp_to_key(parity_lex_cmp))

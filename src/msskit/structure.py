@@ -7,6 +7,16 @@ below q-1.  :func:`block_decompose` produces that parse and
 :func:`is_mss_structured` decides shift-maximality from it without
 enumerating all shifts.
 
+The test has two layers.  The public :func:`is_mss_structured` parses
+its input, derives the block form without raising (a run-bound failure
+is a position, not an exception; :func:`block_decompose` still raises
+:class:`RunLengthError` for its own callers), and applies the filters:
+run bound, single leading head group, nonempty final block.  The private
+core ``_test_form`` takes a block form that passed them, together with
+its word, and runs the critical-shift comparisons.  The structured
+enumerator builds each candidate from its block form, so it calls the
+core directly and never parses or decomposes its own words.
+
 The structured test needs to examine one shift per group beyond the
 first: the shift landing on the last ``RL^q`` copy of the group.  Every
 other shift is dominated for free (it starts with a strictly shorter
@@ -21,7 +31,7 @@ preferring one route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import NotAdmissibleError, RunLengthError
 from .sequences import AdmissibleSeq, SeqLike, as_sequence, sign_sequence
@@ -87,25 +97,18 @@ def _run_end(body: str, start: int) -> int:
     return end if end >= 0 else len(body)
 
 
-def block_decompose(seq: SeqLike) -> BlockForm:
-    """Unique head-group parse of an admissible sequence starting with R.
+def _decompose(body: str) -> Union[BlockForm, int]:
+    """Head-group parse of a body that starts with R, without raising.
 
-    Raises :class:`RunLengthError` when an L-run exceeds the head run q
-    (no canonical form exists, and the word is not shift-maximal).
+    Returns the block form, or, when an L-run exceeds the head run q, the
+    position of the first R that starts such a run.
     """
-    s = as_sequence(seq)
-    body = s.body
-    if not body.startswith("R"):
-        raise NotAdmissibleError(f"{s}: block form requires a leading R")
     # q is the L-run after the leading R; the first R followed by q + 1
     # Ls starts the first over-long run.
     q = _run_end(body, 1) - 1
     pos = body.find("R" + "L" * (q + 1))
     if pos >= 0:
-        run = _run_end(body, pos + 1) - pos - 1
-        raise RunLengthError(
-            f"{s}: L-run of {run} after position {pos} exceeds head run {q}", pos
-        )
+        return pos
     # With no run above q, the head copies are exactly the occurrences of
     # R L^q, and the pieces between them are the interior blocks.
     runs: list[tuple[int, str]] = []
@@ -120,6 +123,26 @@ def block_decompose(seq: SeqLike) -> BlockForm:
 
     form = BlockForm(q, tuple(runs))
     assert form._body() == body
+    return form
+
+
+def block_decompose(seq: SeqLike) -> BlockForm:
+    """Unique head-group parse of an admissible sequence starting with R.
+
+    Raises :class:`RunLengthError` when an L-run exceeds the head run q
+    (no canonical form exists, and the word is not shift-maximal).
+    """
+    s = as_sequence(seq)
+    body = s.body
+    if not body.startswith("R"):
+        raise NotAdmissibleError(f"{s}: block form requires a leading R")
+    form = _decompose(body)
+    if isinstance(form, int):
+        q = _run_end(body, 1) - 1
+        run = _run_end(body, form + 1) - form - 1
+        raise RunLengthError(
+            f"{s}: L-run of {run} after position {form} exceeds head run {q}", form
+        )
     return form
 
 
@@ -228,10 +251,9 @@ def is_mss_structured(seq: SeqLike, strict_rules: bool = True) -> StructuredVerd
     s = as_sequence(seq)
     if not s.symbols.startswith("R"):
         raise NotAdmissibleError(f"{s}: MSS candidates start with R")
-    try:
-        form = block_decompose(s)
-    except RunLengthError as err:
-        return StructuredVerdict(False, failing_shift=err.position, failing_rule=RULE_RUN_BOUND)
+    form = _decompose(s.body)
+    if isinstance(form, int):
+        return StructuredVerdict(False, failing_shift=form, failing_rule=RULE_RUN_BOUND)
 
     q = form.q
     n1 = form.runs[0][0]
@@ -246,16 +268,26 @@ def is_mss_structured(seq: SeqLike, strict_rules: bool = True) -> StructuredVerd
         )
     if r == 1:
         return StructuredVerdict(True)
+    return _test_form(form, s.symbols, strict_rules)
 
-    lam = sign_sequence(s)
+
+def _test_form(form: BlockForm, word: str, strict_rules: bool = True) -> StructuredVerdict:
+    """Critical-shift comparisons of the structured test on a ready block form.
+
+    ``form`` must be the block form of ``word`` and pass the filters of
+    :func:`is_mss_structured` (run bound, single leading head group,
+    nonempty final block when there are two or more groups); nothing here
+    checks that.  A single group has no critical shift and is accepted.
+    """
+    lam = sign_sequence(word)
     offsets = _group_offsets(form)
-    for k in range(1, r):
+    for k in range(1, form.group_count):
         shift_at = offsets[k]
         below = _padded_sign_shift_less(lam, shift_at)
         rule, predicted = _group_rule(form, k)
         if strict_rules and predicted is not None and predicted != below:
             raise RuleDisagreement(
-                f"{s}: shift {shift_at} classified {rule} predicted "
+                f"{word}: shift {shift_at} classified {rule} predicted "
                 f"{'pass' if predicted else 'fail'} but comparison says "
                 f"{'pass' if below else 'fail'}"
             )

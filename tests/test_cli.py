@@ -233,6 +233,28 @@ class TestSelftest:
         with pytest.raises(ValueError):
             run_selftest(pmax=6, suites=["bogus"])
 
+    @pytest.mark.parametrize("pmax", ["1", "0", "-3"])
+    def test_pmax_below_two_rejected(self, capsys, pmax):
+        # Every range would be empty and the suites would pass vacuously.
+        code, out, err = run_cli(capsys, "selftest", "--pmax", pmax)
+        assert code == 1
+        assert out == ""
+        assert err == "error: pmax must be >= 2\n"
+
+    def test_pmax_two_output(self, capsys):
+        code, out, _ = run_cli(capsys, "selftest", "--pmax", "2")
+        assert code == 0
+        assert out == (
+            "[PASS] oracle: three-route equivalence p<=2 (1 candidates, 0 disagreements)\n"
+            "[PASS] construction: period 2 (1 structured vs 1 brute)\n"
+            "[PASS] counting: block formula vs enumeration (m<=12, run<=6) (0 mismatches)\n"
+            "[PASS] counting: single-group non-primary count p<=2 (all match)\n"
+            "[PASS] counting: core-factor count p<=2 (all match)\n"
+            "[PASS] roundtrip: compose/factor round-trip |a|*|b|<=24 (864 pairs, 0 failures)\n"
+            "[PASS] roundtrip: shape tests imply non-primary p<=2 (0 shape hits, 0 unsound)\n"
+            "7/7 checks passed\n"
+        )
+
 
 class TestUsageErrors:
     def test_unknown_verb(self, capsys):

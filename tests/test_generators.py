@@ -1,5 +1,8 @@
 """Block construction, later-block derivation, and the two enumerators."""
 
+import functools
+from collections import Counter
+
 import pytest
 
 from msskit import (
@@ -14,7 +17,7 @@ from msskit import (
 )
 from msskit.structure import block_decompose, is_mss_structured
 
-from conftest import brute_blocks
+from conftest import brute_blocks, brute_parity_lex_less
 
 
 class TestEnumerateBlocks:
@@ -129,6 +132,45 @@ class TestEnumerators:
             structured = enumerate_mss_structured(p).words()
             assert structured == sort_parity_lex(brute_mss_by_period[p])
             assert structured == enumerate_mss_bruteforce(p).words()
+
+    @pytest.mark.parametrize("p", [13, 14])
+    def test_agreement_at_periods_13_and_14(self, brute_mss_by_period, p):
+        expected = sorted(brute_mss_by_period[p], key=functools.cmp_to_key(brute_parity_lex_less))
+        assert enumerate_mss_structured(p).words() == expected
+
+    def test_structured_parses_nothing(self, monkeypatch):
+        # The generator hands its own block forms to the structured core and
+        # sorts by key: it never decomposes, runs the public test, parses
+        # text or calls the comparator.
+        import msskit
+        from msskit import generators, sequences, structure
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("block_decompose", "is_mss_structured", "parity_lex_cmp"):
+            fn = getattr(msskit, name)
+            for module in (msskit, sequences, structure, generators):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted(name, fn))
+        parse = sequences.AdmissibleSeq.parse.__func__
+        monkeypatch.setattr(sequences.AdmissibleSeq, "parse", classmethod(counted("parse", parse)))
+        generators._blocks_cached.cache_clear()
+
+        words = enumerate_mss_structured(12).words()
+        assert len(words) == 170
+        assert calls == Counter()
+        # the counters do count when the public routes run
+        structure.is_mss_structured(words[0])
+        structure.block_decompose(words[0])
+        sequences.sort_parity_lex(words[:2])
+        assert calls == Counter(is_mss_structured=1, block_decompose=1, parse=2, parity_lex_cmp=1)
 
     def test_sorted_strictly_increasing(self):
         from msskit import Ordering, parity_lex_cmp

@@ -251,6 +251,35 @@ class TestHelpers:
             "RLLC",
         ]
 
+    def test_sort_parity_lex_keeps_prefix_order(self):
+        # A plain word and its own prefix compare EQUAL, so the stable
+        # comparison sort keeps input order; a sign-sequence key would not.
+        assert parity_lex_cmp("RLR", "RL") is Ordering.EQUAL
+        assert sort_parity_lex(["RLR", "RL"]) == ["RLR", "RL"]
+        assert sort_parity_lex(["RL", "RLR"]) == ["RL", "RLR"]
+        assert sorted(["RLR", "RL"], key=sign_sequence) == ["RL", "RLR"]
+
+    def test_sign_key_matches_comparator(self, brute_mss_by_period):
+        import functools
+        import random
+
+        by_cmp = functools.cmp_to_key(parity_lex_cmp)
+        mixed = [w for p in range(2, 13) for w in brute_mss_by_period[p]]
+        random.Random(5).shuffle(mixed)
+        assert sorted(mixed, key=sign_sequence) == sorted(mixed, key=by_cmp)
+        words = list(all_candidates(16))
+        random.Random(7).shuffle(words)
+        assert sorted(words, key=sign_sequence) == sorted(words, key=by_cmp)
+
+    def test_sign_rank_orders_one_period_as_sign_sequence(self):
+        from msskit.sequences import _sign_rank
+
+        for p in range(2, 17):
+            words = list(all_candidates(p))
+            ranks = [_sign_rank(w) for w in words]
+            assert len(set(ranks)) == len(words)
+            assert sorted(words, key=_sign_rank) == sorted(words, key=sign_sequence), p
+
     def test_admissible_seq_str(self):
         s = AdmissibleSeq("RLLRC")
         assert str(s) == "RLLRC"

@@ -162,3 +162,48 @@ class TestStructuredVerdict:
                     parity_lex_cmp(shift(word, v.failing_shift), word)
                     is Ordering.GREATER
                 )
+
+
+class TestGeneratorHandoff:
+    """The generator's block forms go straight to the private core."""
+
+    def test_core_on_built_forms_matches_public_test(self):
+        from msskit.generators import _candidates
+        from msskit.structure import _test_form
+
+        seen = 0
+        for p in range(2, 17):
+            for word, form in _candidates(p):
+                seen += 1
+                assert len(word) == p
+                assert form == block_decompose(word), word
+                assert _test_form(form, word) == is_mss_structured(word), word
+        assert seen == 5068
+
+    def test_run_bound_shift_is_error_position(self):
+        rejected = 0
+        for p in range(2, 15):
+            for word in all_candidates(p):
+                v = is_mss_structured(word)
+                try:
+                    block_decompose(word)
+                except RunLengthError as err:
+                    rejected += 1
+                    assert (v.is_mss, v.failing_rule) == (False, RULE_RUN_BOUND), word
+                    assert v.failing_shift == err.position, word
+                else:
+                    assert v.failing_rule != RULE_RUN_BOUND, word
+        assert rejected > 0
+
+    @pytest.mark.parametrize(
+        "word,message,position",
+        [
+            ("RLLRLLLC", "RLLRLLLC: L-run of 3 after position 3 exceeds head run 2", 3),
+            ("RLRRLLRLC", "RLRRLLRLC: L-run of 2 after position 3 exceeds head run 1", 3),
+        ],
+    )
+    def test_run_length_error_message(self, word, message, position):
+        with pytest.raises(RunLengthError) as err:
+            block_decompose(word)
+        assert str(err.value) == message
+        assert err.value.position == position
