@@ -30,6 +30,10 @@ bisection path, each answering only what it can prove:
 3. mpmath extended precision (30 significant digits, more for long
    periods) decides every step the other two leave open and is the only
    stage that ends the search, so it computes every reported residual.
+   It runs on raw values, the (sign, man, exp, bc) tuples behind mpf
+   objects, through the ``mpmath.libmp`` calls that mpf operators make
+   at the context's precision and rounding: the same bits, without the
+   object layer.
 
 A stage abstains instead of guessing, so every step goes the way an
 all-mpmath bisection takes it and the result (parameter, residual and
@@ -48,7 +52,10 @@ from typing import Optional, Union
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import from_float, to_fixed
+from mpmath.libmp import (
+    fhalf, fone, from_float, mpf_abs, mpf_add, mpf_le, mpf_lt, mpf_mul, mpf_shift, mpf_sub,
+    round_nearest, to_fixed, to_float,
+)
 
 from .errors import LocateError, NotMssError
 from .sequences import (
@@ -114,15 +121,13 @@ class MapParam:
 Param = Union[MapParam, float, mpf]
 
 
-def _param_value(r: Param):
-    return r.r if isinstance(r, MapParam) else r
-
-
 def itinerary(r: Param, steps: int, eps: float = _DEFAULT_EPS) -> str:
     """Symbol word of the critical orbit: step i classifies f^i(1/2).
 
     Points within ``eps`` of 1/2 read as C; the dead band keeps the
     terminal step of a located orbit classified as C despite rounding.
+    ``eps`` must be finite and >= 0.  An mpf parameter runs at its own
+    context's precision and rounding.
 
     >>> itinerary(2.0, 1)
     'C'
@@ -131,17 +136,21 @@ def itinerary(r: Param, steps: int, eps: float = _DEFAULT_EPS) -> str:
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    rv = _param_value(r)
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+    rv = r.r if isinstance(r, MapParam) else r
     if not 0 < rv <= 4:
         raise ValueError(f"parameter {rv} outside (0, 4]")
-    half = rv * 0 + 0.5  # stays mpf when r is mpf
-    x = half
+    if hasattr(rv, "_mpf_"):
+        prec, rnd = rv.context._prec_rounding
+        eps_raw = rv.mpf_convert_rhs(eps)  # what an mpf comparison with eps converts
+        orbit = _orbit(rv._mpf_, prec, rnd)
+        return "".join(_symbol(next(orbit), eps_raw, prec, rnd) for _ in range(steps))
+    x = 0.5
     out = []
     for _ in range(steps):
         x = rv * x * (1 - x)
-        d = x - half
+        d = x - 0.5
         if abs(d) <= eps:
             out.append("C")
         elif d > 0:
@@ -185,28 +194,41 @@ def _steer(got: str, want: str, odd: int) -> int:
     return _BELOW if below != bool(odd) else _ABOVE
 
 
-def _probe(r: mpf, prefix: str, odd: list[int], eps: mpf):
+def _orbit(r: tuple, prec: int, rnd: str):
+    """Raw f^i(1/2) - 1/2, i = 1, 2, ..., by the libmp calls of mpf arithmetic."""
+    x = fhalf
+    while True:
+        x = mpf_mul(mpf_mul(r, x, prec, rnd), mpf_sub(fone, x, prec, rnd), prec, rnd)
+        yield mpf_sub(x, fhalf, prec, rnd)
+
+
+def _symbol(d: tuple, eps: tuple, prec: int, rnd: str) -> str:
+    """Symbol of a raw distance ``d`` from 1/2: C when |d| <= ``eps``."""
+    if mpf_le(mpf_abs(d, prec, rnd), eps):
+        return "C"
+    return "L" if d[0] else "R"  # d != 0 here, so its sign bit reads d > 0
+
+
+def _probe(r: tuple, prefix: str, odd: list[int], eps: tuple, prec: int):
     """Compare the critical itinerary at r against the target prefix.
 
-    Returns (verdict, gap): verdict _BELOW/_ABOVE from the first symbol
-    difference, or _MATCHED when all prefix symbols agree, in which case
-    ``gap`` carries f^p(1/2) - 1/2 for the final steering and residual.
-    A dead-band hit before the prefix ends is undecidable here and reads
-    as _BELOW: superstable points of shorter period are isolated, so the
-    search escapes upward.
+    ``r`` and ``eps`` are raw mpf values, rounded to nearest at ``prec``
+    bits as in the locating context.  Returns (verdict, gap): verdict
+    _BELOW/_ABOVE from the first symbol difference, or _MATCHED when all
+    prefix symbols agree, in which case ``gap`` carries the raw
+    f^p(1/2) - 1/2 for the final steering and residual.  A dead-band hit
+    before the prefix ends is undecidable here and reads as _BELOW:
+    superstable points of shorter period are isolated, so the search
+    escapes upward.
     """
-    half = r * 0 + 0.5  # exact, and inherits r's arithmetic context
-    x = half
-    for i, want in enumerate(prefix):
-        x = r * x * (1 - x)
-        d = x - half
-        if abs(d) <= eps:
+    orbit = _orbit(r, prec, round_nearest)
+    for i, (want, d) in enumerate(zip(prefix, orbit)):
+        got = _symbol(d, eps, prec, round_nearest)
+        if got == "C":
             return _BELOW, None
-        got = "R" if d > 0 else "L"
         if got != want:
             return _steer(got, want, odd[i]), None
-    x = r * x * (1 - x)
-    return _MATCHED, x - half
+    return _MATCHED, next(orbit)
 
 
 def _probe_float(r: float, prefix: str, odd: list[int], eps: float, tol: float):
@@ -241,22 +263,27 @@ def _probe_float(r: float, prefix: str, odd: list[int], eps: float, tol: float):
 def _probe_fixed(mid, prefix: str, odd: list[int], bits: int, eps_fix: int, tol_fix: int):
     """Fixed-point twin of :func:`_probe` that answers only when certain.
 
-    The orbit runs on integers X = x 2^bits at the midpoint, which must
-    be a multiple of 2^-bits; ``eps_fix`` and ``tol_fix`` are the mpmath
-    thresholds in the same units, floored.  ``err``, in units of 2^-bits,
-    bounds the distance from the exact orbit of both this orbit and the
-    mpmath one, so they are at most 2 * err apart; its update reads
-    |1 - 2x| off this orbit, which the mpmath orbit may be 2 * err away
-    from, hence 3 * err.  A step is decided only when every comparison
-    clears its threshold by 2 * err + ``_FIXED_SLACK``; otherwise, when
-    the midpoint is off the grid, and whenever the closing residual may
-    be below ``tol`` (only the mpf path ends the search), returns None.
+    The orbit runs on integers X = x 2^bits at the midpoint ``mid`` (a
+    float, an mpf or a raw mpf tuple), which must be a multiple of
+    2^-bits; ``eps_fix`` and ``tol_fix`` are the mpmath thresholds in the
+    same units, floored.  ``err``, in units of 2^-bits, bounds the
+    distance from the exact orbit of both this orbit and the mpmath one,
+    so they are at most 2 * err apart; its update reads |1 - 2x| off this
+    orbit, which the mpmath orbit may be 2 * err away from, hence
+    3 * err.  The mpmath orbit is the raw one of :func:`_orbit`: it makes
+    the libmp calls of mpf objects at the context's precision and
+    rounding, so its bits, and this bound, are those of mpf arithmetic.
+    A step is decided only when every comparison clears its threshold by
+    2 * err + ``_FIXED_SLACK``; otherwise, when the midpoint is off the
+    grid, and whenever the closing residual may be below ``tol`` (only
+    the mpf path ends the search), returns None.
     """
-    _, man, exp, _ = from_float(mid) if isinstance(mid, float) else mid._mpf_
+    raw = from_float(mid) if isinstance(mid, float) else getattr(mid, "_mpf_", mid)
+    _, man, exp, _ = raw
     if exp + bits < 0:  # man is odd, so mid is off the grid
         return None
     r_fix = man << (exp + bits)
-    r = float(mid)
+    r = to_float(raw, rnd=round_nearest)
     one = 1 << bits
     half = one >> 1
     shift = 2 * bits
@@ -326,6 +353,10 @@ def locate(
     first two abstain unless the mpmath probe would certainly give the
     same verdict, and only the mpmath probe ends the search, so the
     result is the all-mpmath bisection's whichever stage decides a step.
+    The mpmath stage works on raw libmp values with the calls, precision
+    and rounding of mpf objects, so its bits cannot differ from theirs.
+    A converged parameter is confirmed by an independent :func:`itinerary`
+    of the whole orbit before it is returned.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -349,39 +380,48 @@ def locate(
     prefix = s.body
     odd = _r_parity(prefix)
     ctx = _CONTEXTS.get(dps)
-    eps_mp = ctx.mpf(eps)
-    tol_mp = ctx.mpf(tol)
-    bits = ctx.prec - _FIXED_GUARD_BITS
+    prec = ctx.prec
+    eps_mp = ctx.mpf(eps)._mpf_
+    tol_mp = ctx.mpf(tol)._mpf_
+    bits = prec - _FIXED_GUARD_BITS
     fixed = _MIN_FIXED_BITS <= bits <= _MAX_FIXED_BITS
-    eps_fix = to_fixed(eps_mp._mpf_, bits)
-    tol_fix = to_fixed(tol_mp._mpf_, bits)
-    lo, hi = 3.0, 4.0  # float64 until the bracket is narrower than 2^-48
+    eps_fix = to_fixed(eps_mp, bits)
+    tol_fix = to_fixed(tol_mp, bits)
+    lo, hi = 3.0, 4.0  # float64 until the bracket is narrower than 2^-48, then raw mpf
     for iteration in range(1, max_iter + 1):
-        mid = (lo + hi) / 2
-        verdict = _probe_float(mid, prefix, odd, eps, tol) if isinstance(mid, float) else None
+        if isinstance(lo, float):
+            mid = (lo + hi) / 2
+            verdict = _probe_float(mid, prefix, odd, eps, tol)
+        else:  # halving the rounded sum is exact, as mpf division by 2 is
+            mid = mpf_shift(mpf_add(lo, hi, prec, round_nearest), -1)
+            verdict = None
         if verdict is None and fixed:
             verdict = _probe_fixed(mid, prefix, odd, bits, eps_fix, tol_fix)
         if verdict is None:
-            r = ctx.mpf(mid)
-            verdict, gap = _probe(r, prefix, odd, eps_mp)
+            r = ctx.mpf(mid)._mpf_ if isinstance(mid, float) else mid
+            verdict, gap = _probe(r, prefix, odd, eps_mp, prec)
             if verdict == _MATCHED:
-                if abs(gap) < tol_mp:
-                    # classify the closing step with the wider of the two
-                    # bands so a loose tol still reads as C
-                    word = itinerary(r, p, max(eps, tol))
+                dist = mpf_abs(gap, prec, round_nearest)
+                if mpf_lt(dist, tol_mp):
+                    r_star = ctx.make_mpf(r)
+                    # An independent reclassification of the orbit, kept as a
+                    # guard although with tol <= eps the probe has cleared
+                    # it; the wider band lets a loose tol still read as C.
+                    word = itinerary(r_star, p, max(eps, tol))
                     if word != s.symbols:
                         raise LocateError(
                             f"{s}: residual converged but itinerary reads {word}"
                         )
-                    return LocatedSequence(s.symbols, r, float(abs(gap)), iteration)
-                # steer by the symbol the orbit would print at step p
-                verdict = _steer("R" if gap > 0 else "L", "C", odd[-1])
+                    residual = to_float(dist, rnd=round_nearest)
+                    return LocatedSequence(s.symbols, r_star, residual, iteration)
+                # steer by the symbol the orbit would print at step p (gap != 0)
+                verdict = _steer("L" if gap[0] else "R", "C", odd[-1])
         if verdict == _BELOW:
             lo = mid
         else:
             hi = mid
         if isinstance(lo, float) and hi - lo < _FLOAT_WIDTH:
-            lo, hi = ctx.mpf(lo), ctx.mpf(hi)
+            lo, hi = ctx.mpf(lo)._mpf_, ctx.mpf(hi)._mpf_
     raise LocateError(f"{s}: no convergence within {max_iter} bisection steps")
 
 

@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import msskit
 from msskit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -271,3 +275,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate"])
         assert exc.value.code == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_m_msskit_runs_the_cli(self, capsys):
+        code, expected, _ = run_cli(capsys, "check", "RLC")
+        assert code == 0
+        src = str(Path(msskit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "msskit", "check", "RLC"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected

@@ -9,6 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import mpf
+from mpmath.ctx_mp_python import _mpf
 
 from msskit import (
     LocateError,
@@ -126,6 +127,12 @@ class TestItinerary:
             itinerary(4.0, 0)
         with pytest.raises(ValueError):
             itinerary(5.0, 3)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1])
+    def test_rejects_bad_eps(self, eps):
+        # nan never read C and inf read every step as C
+        with pytest.raises(ValueError, match="eps must be finite and >= 0, got"):
+            itinerary(4.0, 3, eps=eps)
 
 
 class TestLocate:
@@ -394,4 +401,75 @@ class TestFixedStage:
         assert len(calls) == len(rows) > 30
         calls.clear()
         locate(extremal(40))
+        assert len(calls) == 1
+
+
+def object_itinerary(r, steps, eps):
+    """The critical itinerary in mpf object arithmetic, as an oracle."""
+    half = r * 0 + 0.5
+    x, word = half, ""
+    for _ in range(steps):
+        x = r * x * (1 - x)
+        d = x - half
+        word += "C" if abs(d) <= eps else "R" if d > 0 else "L"
+    return word
+
+
+class TestRawStage:
+    """The mpf stage runs on raw libmp values with mpf's own bits."""
+
+    @pytest.mark.parametrize("dps", [15, 30, 60, None])
+    def test_itinerary_matches_object_arithmetic(self, dps):
+        if dps is None:
+            ctx = mpmath.mp
+        else:
+            ctx = mpmath.ctx_mp.MPContext()
+            ctx.dps = dps
+        words = ["RLC", "RLLRLC", "RLRRRLRC", extremal(12)]
+        params = [ctx.mpf(locate(w).r_star) for w in words]
+        params += [ctx.mpf(1) / 3 + 3, ctx.mpf("3.2"), ctx.mpf(4), ctx.mpf(2)]
+        epsilons = [1e-12, 1e-6, 0, 1, ctx.mpf("1e-9"), mpmath.mpf(1e-3)]
+        for r in params:
+            for eps in epsilons:
+                for steps in (1, 12, 40):
+                    got = itinerary(r, steps, eps)
+                    assert got == object_itinerary(r, steps, eps), (dps, r, eps, steps)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol": 1e-100}, {"dps": 18}, {"dps": 18, "eps": 0}, {"tol": 1e-100, "eps": 0}],
+    )
+    def test_identical_to_mpf_bisection_on_short_words(self, kwargs):
+        for word in (w for p in range(2, 9) for w in enumerate_mss_structured(p).words()):
+            self.check_against_oracle(word, **kwargs)
+
+    @pytest.mark.parametrize("dps, tol", [(16, 1e-17), (18, 1e-20), (20, 1e-20)])
+    def test_identical_when_the_bracket_outruns_the_precision(self, dps, tol):
+        # Here some searches narrow the bracket below 2^-prec, where the
+        # rounding of each mpf midpoint decides whether they converge.
+        for word in (w for p in range(2, 10) for w in enumerate_mss_structured(p).words()):
+            self.check_against_oracle(word, dps=dps, tol=tol)
+
+    @staticmethod
+    def check_against_oracle(word, **kwargs):
+        args = default_args(len(word), kwargs.get("tol", 1e-13))
+        expected = mpf_bisection(word, **{**args, **kwargs})
+        if expected is None:
+            with pytest.raises(LocateError, match="no convergence"):
+                locate(word, **kwargs)
+        else:
+            assert _as_tuple(locate(word, **kwargs)) == expected, word
+
+    def test_no_mpf_object_multiplications(self, monkeypatch):
+        calls = []
+        mul = _mpf.__mul__
+
+        def counted(a, b):
+            calls.append(b)
+            return mul(a, b)
+
+        monkeypatch.setattr(_mpf, "__mul__", counted)
+        locate("RLRRRLRC")
+        assert calls == []
+        mpf(3) * mpf(2)  # the counter does see object arithmetic
         assert len(calls) == 1
