@@ -14,6 +14,9 @@ import msskit
 from msskit.cli import main
 
 DATA = Path(__file__).parent / "data"
+# argv (space-joined) -> [exit code, stdout, stderr], recorded before the
+# CLI's factor, enumerate and count renderers were folded into the library.
+CLI_GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -275,6 +278,11 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_GOLDEN))
+def test_cli_golden(capsys, argv):
+    assert list(run_cli(capsys, *argv.split())) == CLI_GOLDEN[argv]
 
 
 class TestModuleEntryPoint:

@@ -165,6 +165,13 @@ class TestFactorTree:
 
         walk(factor_tree(compose("RLC", compose("RC", "RC"))))
 
+    def test_to_dict(self):
+        leaf = {"sequence": "RC", "children": None}
+        assert factor_tree("RLRRRLRC").to_dict() == {
+            "sequence": "RLRRRLRC",
+            "children": [leaf, {"sequence": "RLRC", "children": [leaf, leaf]}],
+        }
+
 
 class TestStemShape:
     def test_letter_extended_blocks_hit(self):
