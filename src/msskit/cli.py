@@ -27,10 +27,11 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .composition import compose, factor_once, factor_tree, is_primary
-from .counting import CountReport, blocks_report, cores_report, single_group_report
+from .counting import blocks_report, cores_report, single_group_report
 from .errors import MssKitError
 from .generators import enumerate_mss_bruteforce, enumerate_mss_structured
 from .locator import _increasing, locate, order_report
@@ -45,12 +46,13 @@ def _workers() -> int:
     raw = os.environ.get("MSSKIT_THREADS")
     if raw is None or raw.strip() == "":
         return 1
-    count = int(raw)  # ValueError surfaces as a domain error
+    try:
+        count = int(raw)
+    except ValueError:
+        count = -1  # reported below, with the negative counts
     if count < 0:
-        raise ValueError("MSSKIT_THREADS must be >= 0")
-    if count == 0:
-        return os.cpu_count() or 1
-    return count
+        raise ValueError(f"MSSKIT_THREADS must be an integer >= 0, got {raw!r}")
+    return count or os.cpu_count() or 1
 
 
 def _str2bool(text: str) -> bool:
@@ -66,8 +68,9 @@ def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload) + "\n")
 
 
-def _render(seq: str, expand: bool) -> str:
-    return seq if expand else compress_exponents(seq)
+def _renderer(expand: bool):
+    """How a sequence is printed: its symbols, or in run notation."""
+    return str if expand else lambda s: compress_exponents(s.symbols)
 
 
 def _cmd_enumerate(args) -> int:
@@ -75,40 +78,26 @@ def _cmd_enumerate(args) -> int:
         enum = enumerate_mss_structured(args.period)
     else:
         enum = enumerate_mss_bruteforce(args.period, workers=_workers())
+    render = _renderer(args.expand)
     if args.format == "text":
         for index, s in enumerate(enum):
-            sys.stdout.write(f"{index}\t{_render(s.symbols, args.expand)}\n")
+            sys.stdout.write(f"{index}\t{render(s)}\n")
         return 0
+    header = ["index", "sequence", "q", "block_form", "is_primary"]
     rows = []
     for index, s in enumerate(enum):
         form = block_decompose(s)
-        rows.append(
-            {
-                "index": index,
-                "sequence": _render(s.symbols, args.expand),
-                "q": form.q,
-                "block_form": f"q={form.q}:" + ";".join(f"{n},{b}" for n, b in form.runs),
-                "is_primary": is_primary(s),
-            }
-        )
+        block_form = f"q={form.q}:" + ";".join(f"{n},{b}" for n, b in form.runs)
+        rows.append([index, render(s), form.q, block_form, is_primary(s)])
     if args.format == "json":
-        _emit_json(
-            {
-                "period": args.period,
-                "method": args.method,
-                "count": len(rows),
-                "sequences": rows,
-            }
-        )
+        sequences = [dict(zip(header, row)) for row in rows]
+        _emit_json({"period": args.period, "method": args.method,
+                    "count": len(rows), "sequences": sequences})
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["index", "sequence", "q", "block_form", "is_primary"])
-        for row in rows:
-            writer.writerow(
-                [row["index"], row["sequence"], row["q"], row["block_form"],
-                 str(row["is_primary"]).lower()]
-            )
+        writer.writerow(header)
+        writer.writerows(row[:-1] + [str(row[-1]).lower()] for row in rows)
         sys.stdout.write(buf.getvalue())
     return 0
 
@@ -135,12 +124,9 @@ def _cmd_check(args) -> int:
 def _cmd_compose(args) -> int:
     a = parse_sequence(args.first)
     b = parse_sequence(args.second)
-    result = compose(a, b)
-    payload = {
-        "sequence": _render(result.symbols, args.expand),
-        "primary": False,
-        "factors": [_render(a.symbols, args.expand), _render(b.symbols, args.expand)],
-    }
+    render = _renderer(args.expand)
+    payload = {"sequence": render(compose(a, b)), "primary": False,
+               "factors": [render(a), render(b)]}
     if args.format == "json":
         _emit_json(payload)
     else:
@@ -148,58 +134,25 @@ def _cmd_compose(args) -> int:
     return 0
 
 
-def _render_tree(tree, expand: bool):
-    node = _render(tree.node.symbols, expand)
-    if tree.children is None:
-        return {"sequence": node, "children": None}
-    return {
-        "sequence": node,
-        "children": [_render_tree(c, expand) for c in tree.children],
-    }
-
-
 def _cmd_factor(args) -> int:
     seq = parse_sequence(args.sequence)
-    tree = None
+    render = _renderer(args.expand)
     if args.tree:
         tree = factor_tree(seq)
-        payload = {
-            "sequence": _render(seq.symbols, args.expand),
-            "primary": tree.children is None,
-            "tree": _render_tree(tree, args.expand),
-        }
+        parts = None if tree.is_leaf else tree.leaves()
+        payload = {"sequence": render(seq), "primary": parts is None,
+                   "tree": tree.to_dict(render)}
     else:
-        split = factor_once(seq)
-        payload = {
-            "sequence": _render(seq.symbols, args.expand),
-            "primary": split is None,
-            "factors": None
-            if split is None
-            else [_render(x.symbols, args.expand) for x in split],
-        }
+        parts = factor_once(seq)
+        payload = {"sequence": render(seq), "primary": parts is None,
+                   "factors": None if parts is None else [render(x) for x in parts]}
     if args.format == "json":
         _emit_json(payload)
+    elif parts is None:
+        sys.stdout.write(f"{payload['sequence']}: primary\n")
     else:
-        if payload["primary"]:
-            sys.stdout.write(f"{payload['sequence']}: primary\n")
-        elif args.tree:
-            leaves = " * ".join(_render(x.symbols, args.expand) for x in tree.leaves())
-            sys.stdout.write(f"{payload['sequence']} = {leaves}\n")
-        else:
-            sys.stdout.write(
-                f"{payload['sequence']} = {payload['factors'][0]} * {payload['factors'][1]}\n"
-            )
+        sys.stdout.write(f"{payload['sequence']} = {' * '.join(map(render, parts))}\n")
     return 0
-
-
-def _report_payload(report: CountReport) -> dict:
-    return {
-        "p": report.p,
-        "kind": report.kind,
-        "formula_value": report.formula_value,
-        "enumerated_value": report.enumerated_value,
-        "match": report.matches,
-    }
 
 
 def _cmd_count(args) -> int:
@@ -214,7 +167,7 @@ def _cmd_count(args) -> int:
             report = single_group_report(args.period, verify=args.verify)
         else:
             report = cores_report(args.period, verify=args.verify)
-    _emit_json(_report_payload(report))
+    _emit_json({**asdict(report), "match": report.matches})
     return 0 if report.matches else 1
 
 

@@ -152,12 +152,16 @@ class FactorTree:
         left, right = self.children
         return left.leaves() + right.leaves()
 
-    def to_dict(self) -> dict:
+    def to_dict(self, render=str) -> dict:
+        """The tree as nested ``{"sequence": ..., "children": [...]}`` dicts,
+        with ``"children": None`` at the leaves.  ``render`` maps each
+        node's :class:`AdmissibleSeq` to its ``"sequence"`` value; the
+        default ``str`` gives its symbols."""
         return {
-            "sequence": self.node.symbols,
+            "sequence": render(self.node),
             "children": None
             if self.children is None
-            else [c.to_dict() for c in self.children],
+            else [c.to_dict(render) for c in self.children],
         }
 
 

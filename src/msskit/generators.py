@@ -195,11 +195,6 @@ def _candidates(p: int):
         unit = q + 1
         max_groups = (body_len - unit) // (unit + 1) + 1
         for r in range(1, max_groups + 1):
-            if r == 1:
-                m = body_len - unit
-                for s1 in _blocks_cached(m, q - 1):
-                    yield "R" + "L" * q + s1 + "C", BlockForm(q, ((1, s1),))
-                continue
             exp_budget = (body_len - r) // unit - 1  # total extra head copies
             if exp_budget < r - 1:
                 continue
@@ -208,12 +203,12 @@ def _candidates(p: int):
                 m_total = body_len - unit * copies
                 if m_total < r:
                     continue
+                counts = (1,) + exponents
                 for lens in _positive_compositions(m_total, r):
                     for blocks in itertools.product(
                         *(_blocks_cached(m, q - 1) for m in lens)
                     ):
-                        runs = ((1, blocks[0]),) + tuple(zip(exponents, blocks[1:]))
-                        form = BlockForm(q, runs)
+                        form = BlockForm(q, tuple(zip(counts, blocks)))
                         yield form._body() + "C", form
 
 
@@ -248,10 +243,6 @@ def _bruteforce_words(p: int, prefix: str = "") -> list[str]:
     return out
 
 
-def _bruteforce_chunk(args: tuple[int, str]) -> list[str]:
-    return _bruteforce_words(*args)
-
-
 def enumerate_mss_bruteforce(p: int, workers: int = 1) -> PeriodEnumeration:
     """Oracle enumeration: filter every candidate word of period p.
 
@@ -267,7 +258,7 @@ def enumerate_mss_bruteforce(p: int, workers: int = 1) -> PeriodEnumeration:
         import multiprocessing
 
         with multiprocessing.Pool(min(workers, len(jobs))) as pool:
-            chunks = pool.map(_bruteforce_chunk, jobs)
+            chunks = pool.starmap(_bruteforce_words, jobs)
         words = [w for chunk in chunks for w in chunk]
     else:
         words = _bruteforce_words(p)

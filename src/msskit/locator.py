@@ -22,7 +22,9 @@ bisection path, each answering only what it can prove:
 1. float64: while the bracket is at least 2^-48 wide every midpoint is a
    dyadic number exact in float64, and a float64 orbit that carries a
    running bound on its own error decides every step whose comparisons
-   clear their thresholds by more than that bound;
+   clear their thresholds by more than that bound.  The bound covers the
+   mpmath orbit only when that one is at least as accurate, so the stage
+   runs only at a working precision of 53 bits or more (dps >= 15);
 2. fixed point: on Python integers x = X / 2^P, with P four bits below
    the mpmath working precision, the same kind of bound also covers the
    rounding of the mpmath orbit, so a step decided here is the step
@@ -348,11 +350,12 @@ def locate(
     ``max_iter`` at least 1; anything else raises ``ValueError``.
 
     Each bisection step is decided by the first of three stages that can
-    prove its verdict: a float64 probe, a fixed-point integer probe, and
-    the mpmath probe at ``dps`` digits (see the module docstring).  The
-    first two abstain unless the mpmath probe would certainly give the
-    same verdict, and only the mpmath probe ends the search, so the
-    result is the all-mpmath bisection's whichever stage decides a step.
+    prove its verdict: a float64 probe (from dps 15 up), a fixed-point
+    integer probe, and the mpmath probe at ``dps`` digits (see the module
+    docstring).  The first two abstain unless the mpmath probe would
+    certainly give the same verdict, and only the mpmath probe ends the
+    search, so the result is the all-mpmath bisection's whichever stage
+    decides a step.
     The mpmath stage works on raw libmp values with the calls, precision
     and rounding of mpf objects, so its bits cannot differ from theirs.
     A converged parameter is confirmed by an independent :func:`itinerary`
@@ -387,7 +390,9 @@ def locate(
     fixed = _MIN_FIXED_BITS <= bits <= _MAX_FIXED_BITS
     eps_fix = to_fixed(eps_mp, bits)
     tol_fix = to_fixed(tol_mp, bits)
-    lo, hi = 3.0, 4.0  # float64 until the bracket is narrower than 2^-48, then raw mpf
+    # float64 until the bracket is narrower than 2^-48, then raw mpf; below
+    # 53 bits the float stage's bound does not cover the mpf orbit
+    lo, hi = (3.0, 4.0) if prec >= 53 else (ctx.mpf(3)._mpf_, ctx.mpf(4)._mpf_)
     for iteration in range(1, max_iter + 1):
         if isinstance(lo, float):
             mid = (lo + hi) / 2

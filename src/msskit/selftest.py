@@ -18,15 +18,9 @@ from .composition import (
     factor_once,
     is_primary,
 )
-from .counting import (
-    count_blocks,
-    count_nonprimary_cores,
-    count_nonprimary_single_group,
-    enumerated_core_factors,
-    enumerated_single_group_nonprimary,
-)
+from .counting import blocks_report, cores_report, single_group_report
 from .errors import ShapeError
-from .generators import enumerate_blocks, enumerate_mss_bruteforce, enumerate_mss_structured
+from .generators import enumerate_mss_bruteforce, enumerate_mss_structured
 from .sequences import AdmissibleSeq, is_shift_maximal, is_shift_maximal_signs
 from .structure import is_mss_structured
 
@@ -85,49 +79,20 @@ def _suite_construction(pmax: int, workers: int) -> list[CheckResult]:
 
 
 def _suite_counting(pmax: int, workers: int) -> list[CheckResult]:
-    out = []
-    mismatches = []
-    for m in range(0, 13):
-        for run in range(0, 7):
-            formula = count_blocks(m, run)
-            listed = len(enumerate_blocks(m, run))
-            if formula != listed:
-                mismatches.append((m, run, formula, listed))
-    out.append(
-        CheckResult(
-            "counting",
-            "block formula vs enumeration (m<=12, run<=6)",
-            not mismatches,
-            f"{len(mismatches)} mismatches",
-        )
-    )
-    bad_single = [
-        p
-        for p in range(2, pmax + 1)
-        if count_nonprimary_single_group(p) != enumerated_single_group_nonprimary(p)
+    """Each formula against its enumeration, paired as ``count --verify`` pairs them."""
+    bad_blocks = [(m, run) for m in range(13) for run in range(7)
+                  if not blocks_report(m, run, verify=True).matches]
+    bad_single = [p for p in range(2, pmax + 1)
+                  if not single_group_report(p, verify=True).matches]
+    bad_cores = [p for p in range(4, pmax + 1) if not cores_report(p, verify=True).matches]
+    return [
+        CheckResult("counting", "block formula vs enumeration (m<=12, run<=6)",
+                    not bad_blocks, f"{len(bad_blocks)} mismatches"),
+        CheckResult("counting", f"single-group non-primary count p<={pmax}", not bad_single,
+                    f"mismatch at {bad_single}" if bad_single else "all match"),
+        CheckResult("counting", f"core-factor count p<={pmax}", not bad_cores,
+                    f"mismatch at {bad_cores}" if bad_cores else "all match"),
     ]
-    out.append(
-        CheckResult(
-            "counting",
-            f"single-group non-primary count p<={pmax}",
-            not bad_single,
-            f"mismatch at {bad_single}" if bad_single else "all match",
-        )
-    )
-    bad_cores = [
-        p
-        for p in range(4, pmax + 1)
-        if count_nonprimary_cores(p) != len(enumerated_core_factors(p))
-    ]
-    out.append(
-        CheckResult(
-            "counting",
-            f"core-factor count p<={pmax}",
-            not bad_cores,
-            f"mismatch at {bad_cores}" if bad_cores else "all match",
-        )
-    )
-    return out
 
 
 def _suite_roundtrip(pmax: int, workers: int) -> list[CheckResult]:

@@ -248,6 +248,14 @@ class TestSelftest:
         assert out == ""
         assert err == "error: pmax must be >= 2\n"
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
+    def test_bad_thread_count_rejected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MSSKIT_THREADS", value)
+        code, out, err = run_cli(capsys, "selftest", "--pmax", "2")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: MSSKIT_THREADS must be an integer >= 0, got {value!r}\n"
+
     def test_pmax_two_output(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--pmax", "2")
         assert code == 0

@@ -11,6 +11,7 @@ from msskit import (
     ShapeError,
     check_stem_shape,
     compose,
+    compress_exponents,
     expand_exponents,
     factor_all,
     factor_interleaved_core,
@@ -171,6 +172,20 @@ class TestFactorTree:
             "sequence": "RLRRRLRC",
             "children": [leaf, {"sequence": "RLRC", "children": [leaf, leaf]}],
         }
+
+    def test_to_dict_renders_every_node(self):
+        def walk(tree, node):
+            assert node["sequence"] == compress_exponents(tree.node.symbols)
+            if tree.children is None:
+                assert node["children"] is None
+            else:
+                assert len(node["children"]) == 2
+                for child, sub in zip(tree.children, node["children"]):
+                    walk(child, sub)
+
+        for word in (BIG, "RLRRRLRC", compose("RLLC", compose("RLC", "RC"))):
+            tree = factor_tree(word)
+            walk(tree, tree.to_dict(lambda s: compress_exponents(s.symbols)))
 
 
 class TestStemShape:

@@ -450,6 +450,22 @@ class TestRawStage:
         for word in (w for p in range(2, 10) for w in enumerate_mss_structured(p).words()):
             self.check_against_oracle(word, dps=dps, tol=tol)
 
+    @pytest.mark.parametrize(
+        "dps, tol, eps",
+        [(2, 1e-2, 1e-2), (5, 1e-5, 1e-5), (9, 1e-9, 1e-9),
+         (14, 1e-13, 1e-12), (15, 1e-13, 1e-12), (15, 1e-14, 1e-14)],
+    )
+    def test_identical_to_mpf_bisection_near_and_below_53_bits(self, dps, tol, eps):
+        # Below 53 bits (dps <= 14) the float stage's bound does not cover
+        # the less accurate mpf orbit, so the search runs on mpf throughout.
+        for word in (w for p in range(2, 11) for w in enumerate_mss_structured(p).words()):
+            self.check_against_oracle(word, dps=dps, tol=tol, eps=eps)
+
+    def test_low_precision_cases(self):
+        found = locate("RLRRLRC", dps=2, tol=1e-2, eps=1e-2)
+        assert (float(found.r_star), found.iterations) == (3.7734375, 7)
+        assert locate("RLRRRC", dps=9, tol=1e-9, eps=1e-9).iterations == 29
+
     @staticmethod
     def check_against_oracle(word, **kwargs):
         args = default_args(len(word), kwargs.get("tol", 1e-13))
