@@ -16,7 +16,8 @@ Exit codes: 0 success (a negative check verdict is still a success),
 1 domain error (bad sequence, non-MSS input where one is required, failed
 verification), 2 usage error.  Output is deterministic: identical argv
 yields byte-identical output.  ``MSSKIT_THREADS`` caps enumeration
-workers (0 = one per CPU; unset = sequential).
+workers (0 = one per CPU; unset = sequential); any value other than an
+integer >= 0 is a domain error for every verb.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _cmd_enumerate(args) -> int:
     if args.method == "structured":
         enum = enumerate_mss_structured(args.period)
     else:
-        enum = enumerate_mss_bruteforce(args.period, workers=_workers())
+        enum = enumerate_mss_bruteforce(args.period, workers=args.workers)
     render = _renderer(args.expand)
     if args.format == "text":
         for index, s in enumerate(enum):
@@ -172,8 +173,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_locate(args) -> int:
-    found = locate(args.sequence if args.sequence == "C" else parse_sequence(args.sequence),
-                   tol=args.tol)
+    found = locate(args.sequence, tol=args.tol)
     _emit_json(
         {
             "sequence": found.sequence,
@@ -212,7 +212,7 @@ def _cmd_verify_order(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = run_selftest(pmax=args.pmax, suites=args.suite or None, workers=_workers())
+    results = run_selftest(pmax=args.pmax, suites=args.suite or None, workers=args.workers)
     failed = 0
     for res in results:
         mark = "PASS" if res.ok else "FAIL"
@@ -293,6 +293,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        args.workers = _workers()
         return args.func(args)
     except UsageError as err:
         parser.error(str(err))  # exits 2

@@ -26,9 +26,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotMssError, RunLengthError, ShapeError
-from .sequences import AdmissibleSeq, SeqLike, as_sequence, is_shift_maximal
-from .structure import block_decompose
+from .errors import NotMssError, ShapeError
+from .sequences import AdmissibleSeq, SeqLike, _shift_maximal_word, as_sequence, is_shift_maximal
+from .structure import _decompose
 
 __all__ = [
     "Parity",
@@ -91,12 +91,12 @@ def _split_at(word: str, h: int) -> Optional[tuple[str, str]]:
         if word[j * h : (j + 1) * h - 1] != stem:
             return None
     inner = stem + "C"
-    if not is_shift_maximal(inner):
+    if not _shift_maximal_word(inner):
         return None
     flip = inner.count("R") % 2 == 1
     letters = [word[(j + 1) * h - 1] for j in range(s - 1)]
     outer = "".join(_FLIP[z] if flip else z for z in letters) + "C"
-    if not is_shift_maximal(outer):
+    if not _shift_maximal_word(outer):
         return None
     return inner, outer
 
@@ -187,9 +187,8 @@ def check_stem_shape(seq: SeqLike) -> bool:
     s = as_sequence(seq)
     if not s.symbols.startswith("R"):
         return False
-    try:
-        form = block_decompose(s)
-    except RunLengthError:
+    form = _decompose(s.body)
+    if isinstance(form, int):  # an L-run outgrows the head run
         return False
     runs = form.runs
     if len(runs) < 2 or any(n != 1 for n, _ in runs):

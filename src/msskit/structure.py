@@ -22,9 +22,11 @@ first: the shift landing on the last ``RL^q`` copy of the group.  Every
 other shift is dominated for free (it starts with a strictly shorter
 climb than the head, or inside an interior block, or on an earlier copy
 whose continuation is an entire extra head group).  Each examined shift
-is settled by comparing zero-padded sign sequences, which is exact; the
-group-level comparison and exponent-parity rules are evaluated alongside
-as a cross-check and any disagreement raises, rather than silently
+is settled by comparing zero-padded sign sequences, which is exact.  The
+group-level rules run alongside as a cross-check: the first diverging
+interior block goes through :func:`parity_lex_cmp`, reversed when beta,
+the count of Rs before it, is odd, and the first diverging head exponent
+through its parity rule.  Any disagreement raises, rather than silently
 preferring one route.
 """
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import NotAdmissibleError, RunLengthError
-from .sequences import AdmissibleSeq, SeqLike, as_sequence, sign_sequence
+from .sequences import AdmissibleSeq, SeqLike, as_sequence, parity_lex_cmp, sign_sequence
 
 __all__ = [
     "RULE_RUN_BOUND",
@@ -174,17 +176,6 @@ class StructuredVerdict:
     failing_rule: Optional[str] = None
 
 
-def _group_offsets(form: BlockForm) -> list[int]:
-    """0-based start offset of the last head-group copy in each group."""
-    unit = form.q + 1
-    offsets = []
-    pos = 0
-    for n, s in form.runs:
-        offsets.append(pos + (n - 1) * unit)
-        pos += n * unit + len(s)
-    return offsets
-
-
 def _padded_sign_shift_less(lam: tuple[int, ...], k: int) -> bool:
     """Exact verdict for the shift at offset k: True when it stays below."""
     first = lam[k]
@@ -200,42 +191,33 @@ def _group_rule(form: BlockForm, k: int):
     """Classify the critical shift for group k+1 and, when the group-level
     hypotheses fully apply, predict its verdict.
 
-    Returns ``(rule, predicted)`` with ``predicted`` None when the rules
-    are inconclusive for this shift (comparison runs off the examined
-    span, or the tail runs out with every group equal, which resolves at
-    the symbol where the tail's C meets the continuation).
+    One walk pairs the word's groups with the shift's, keeping beta, the
+    number of Rs before the current place.  The first diverging exponent
+    is settled by its parity rule; the first diverging interior block by
+    :func:`parity_lex_cmp` of the head block extended by one head group
+    against the tail block, reversed when beta is odd.  Returns ``(rule,
+    predicted)`` with ``predicted`` None when the rules are inconclusive
+    (the blocks agree over their common span, or the tail runs out with
+    every group equal, which resolves where the tail's C meets the
+    continuation).
     """
-    q = form.q
-    nvals = [n for n, _ in form.runs]
-    svals = [s for _, s in form.runs]
-    r = len(svals)
-    for j in range(1, r - k + 1):
-        s_head, s_tail = svals[j - 1], svals[k + j - 1]
-        if s_head != s_tail:
-            # First diverging interior block: compare the head block
-            # extended by one head group against the tail block, under
-            # the orientation of the prefix before the head block.
-            beta = sum(nvals[:j]) + sum(s.count("R") for s in svals[: j - 1])
-            sign = 1 if beta % 2 == 0 else -1
-            ext = sign_sequence(s_head + "R" + "L" * q)
-            other = sign_sequence(s_tail)
-            for x, y in zip(ext, other):
-                if x != y:
-                    return RULE_BLOCK_ORDER, (sign * x) > (sign * y)
-            return RULE_BLOCK_ORDER, None
-        if j < r - k and nvals[k + j] != nvals[j]:
-            # First diverging exponent: the parity rule below decides.
-            beta = sum(nvals[:j]) + sum(s.count("R") for s in svals[:j])
-            n_head, n_tail = nvals[j], nvals[k + j]
-            if beta % 2 == 0:
-                ok = (n_tail > n_head and n_head % 2 == 1) or (
-                    n_tail < n_head and n_tail % 2 == 0
-                )
-            else:
-                ok = (n_tail > n_head and n_head % 2 == 0) or (
-                    n_tail < n_head and n_tail % 2 == 1
-                )
+    beta = 0
+    for i, ((n_head, s_head), (n_tail, s_tail)) in enumerate(zip(form.runs, form.runs[k:])):
+        # The shift starts on the last copy of its first group, so the
+        # first exponents always agree.
+        if i and n_tail != n_head:
+            odd = beta % 2
+            ok = (n_tail > n_head and n_head % 2 != odd) or (
+                n_tail < n_head and n_tail % 2 == odd
+            )
             return RULE_EXPONENT_PARITY, ok
+        beta += n_head
+        if s_head != s_tail:
+            order = parity_lex_cmp(s_head + "R" + "L" * form.q, s_tail)
+            if not order:  # EQUAL: the blocks agree over their common span
+                return RULE_BLOCK_ORDER, None
+            return RULE_BLOCK_ORDER, (order > 0) == (beta % 2 == 0)
+        beta += s_head.count("R")
     return RULE_BLOCK_ORDER, None
 
 
@@ -280,9 +262,9 @@ def _test_form(form: BlockForm, word: str, strict_rules: bool = True) -> Structu
     checks that.  A single group has no critical shift and is accepted.
     """
     lam = sign_sequence(word)
-    offsets = _group_offsets(form)
-    for k in range(1, form.group_count):
-        shift_at = offsets[k]
+    shift_at = 0  # offset of the last head copy of group k; group 0 has one copy
+    for k, ((_, s), (n, _)) in enumerate(zip(form.runs, form.runs[1:]), 1):
+        shift_at += len(s) + n * (form.q + 1)
         below = _padded_sign_shift_less(lam, shift_at)
         rule, predicted = _group_rule(form, k)
         if strict_rules and predicted is not None and predicted != below:

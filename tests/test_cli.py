@@ -203,6 +203,21 @@ class TestLocateVerbs:
         code, out, _ = run_cli(capsys, "locate", "C")
         assert json.loads(out)["r_star"] == 2.0
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("XYZ", "cannot parse 'XYZ' at offset 0"),
+            ("RL", "'RL': must end with C"),
+            ("C^2", "'CC': interior symbols must be R or L"),
+            ("RLRLC", "RLRLC is not an MSS-sequence"),
+        ],
+    )
+    def test_locate_parse_errors(self, capsys, text, message):
+        # The verb hands its text to locate, which parses it as
+        # parse_sequence does.
+        code, out, err = run_cli(capsys, "locate", text)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_verify_order(self, capsys):
         code, out, _ = run_cli(capsys, "verify-order", "--pmax", "4")
         assert code == 0
@@ -255,6 +270,13 @@ class TestSelftest:
         assert code == 1
         assert out == ""
         assert err == f"error: MSSKIT_THREADS must be an integer >= 0, got {value!r}\n"
+
+    def test_bad_thread_count_rejected_by_every_verb(self, capsys, monkeypatch):
+        # check starts no workers and still reports the variable.
+        monkeypatch.setenv("MSSKIT_THREADS", "abc")
+        code, out, err = run_cli(capsys, "check", "RLC")
+        assert (code, out) == (1, "")
+        assert err == "error: MSSKIT_THREADS must be an integer >= 0, got 'abc'\n"
 
     def test_pmax_two_output(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--pmax", "2")

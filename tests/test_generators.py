@@ -140,8 +140,11 @@ class TestEnumerators:
 
     def test_structured_parses_nothing(self, monkeypatch):
         # The generator hands its own block forms to the structured core and
-        # sorts by key: it never decomposes, runs the public test, parses
-        # text or calls the comparator.
+        # sorts by key: it never decomposes, runs the public test or parses
+        # text.  The comparator runs only in the core's cross-check, once
+        # per critical shift settled by a block (46 at p=12), so a
+        # comparator sort (at least 169 calls for 170 words) still fails
+        # here; the core encodes each word it tests once (47 at p=12).
         import msskit
         from msskit import generators, sequences, structure
 
@@ -154,7 +157,7 @@ class TestEnumerators:
 
             return wrapper
 
-        for name in ("block_decompose", "is_mss_structured", "parity_lex_cmp"):
+        for name in ("block_decompose", "is_mss_structured", "parity_lex_cmp", "sign_sequence"):
             fn = getattr(msskit, name)
             for module in (msskit, sequences, structure, generators):
                 if getattr(module, name, None) is fn:
@@ -165,12 +168,16 @@ class TestEnumerators:
 
         words = enumerate_mss_structured(12).words()
         assert len(words) == 170
-        assert calls == Counter()
-        # the counters do count when the public routes run
+        assert calls == Counter(parity_lex_cmp=46, sign_sequence=47)
+        calls.clear()
+        # the counters do count when the public routes run; words[0] has
+        # one critical shift, settled by a block
         structure.is_mss_structured(words[0])
         structure.block_decompose(words[0])
         sequences.sort_parity_lex(words[:2])
-        assert calls == Counter(is_mss_structured=1, block_decompose=1, parse=2, parity_lex_cmp=1)
+        assert calls == Counter(
+            is_mss_structured=1, block_decompose=1, parse=2, parity_lex_cmp=2, sign_sequence=1
+        )
 
     def test_sorted_strictly_increasing(self):
         from msskit import Ordering, parity_lex_cmp

@@ -1,5 +1,7 @@
 """Block decomposition and the structured maximality test."""
 
+from collections import Counter
+
 import pytest
 
 from msskit import (
@@ -18,6 +20,8 @@ from msskit.structure import (
     RULE_EXPONENT_PARITY,
     RULE_HEAD_EXPONENT,
     RULE_RUN_BOUND,
+    RuleDisagreement,
+    StructuredVerdict,
 )
 
 from conftest import all_candidates
@@ -207,3 +211,92 @@ class TestGeneratorHandoff:
             block_decompose(word)
         assert str(err.value) == message
         assert err.value.position == position
+
+
+def sign_tuple_rule(form, k):
+    """The group-level rules as first written: exponent and block lists
+    rebuilt for each shift, both blocks compared as sign tuples."""
+    from msskit import sign_sequence
+
+    q = form.q
+    nvals = [n for n, _ in form.runs]
+    svals = [s for _, s in form.runs]
+    r = len(svals)
+    for j in range(1, r - k + 1):
+        s_head, s_tail = svals[j - 1], svals[k + j - 1]
+        if s_head != s_tail:
+            beta = sum(nvals[:j]) + sum(s.count("R") for s in svals[: j - 1])
+            sign = 1 if beta % 2 == 0 else -1
+            ext = sign_sequence(s_head + "R" + "L" * q)
+            other = sign_sequence(s_tail)
+            for x, y in zip(ext, other):
+                if x != y:
+                    return RULE_BLOCK_ORDER, (sign * x) > (sign * y)
+            return RULE_BLOCK_ORDER, None
+        if j < r - k and nvals[k + j] != nvals[j]:
+            beta = sum(nvals[:j]) + sum(s.count("R") for s in svals[:j])
+            n_head, n_tail = nvals[j], nvals[k + j]
+            if beta % 2 == 0:
+                ok = (n_tail > n_head and n_head % 2 == 1) or (
+                    n_tail < n_head and n_tail % 2 == 0
+                )
+            else:
+                ok = (n_tail > n_head and n_head % 2 == 0) or (
+                    n_tail < n_head and n_tail % 2 == 1
+                )
+            return RULE_EXPONENT_PARITY, ok
+    return RULE_BLOCK_ORDER, None
+
+
+class TestGroupRuleCrossCheck:
+    """The group-level rules that cross-check every critical shift."""
+
+    def test_matches_sign_tuple_rule_and_exact_comparison(self):
+        from msskit import sign_sequence
+        from msskit.generators import _candidates
+        from msskit.structure import _group_rule, _padded_sign_shift_less
+
+        forms = shifts = 0
+        predicted = Counter()
+        for p in range(2, 17):
+            for word, form in _candidates(p):
+                if form.group_count < 2:
+                    continue
+                forms += 1
+                lam = sign_sequence(word)
+                unit = form.q + 1
+                pos = 0
+                for k, (n, s) in enumerate(form.runs):
+                    shift_at = pos + (n - 1) * unit  # last head copy of group k
+                    pos += n * unit + len(s)
+                    if k == 0:
+                        continue
+                    shifts += 1
+                    rule, verdict = _group_rule(form, k)
+                    assert (rule, verdict) == sign_tuple_rule(form, k), (word, k)
+                    if verdict is not None:
+                        predicted[rule] += 1
+                        assert verdict == _padded_sign_shift_less(lam, shift_at), (word, k)
+        assert (forms, shifts) == (1520, 1901)
+        assert predicted == Counter({RULE_BLOCK_ORDER: 906, RULE_EXPONENT_PARITY: 46})
+
+    @pytest.mark.parametrize(
+        "word, rule",
+        [("RLRRLRRRC", RULE_BLOCK_ORDER), ("RLRRLRRLRLRC", RULE_EXPONENT_PARITY)],
+    )
+    def test_flipped_comparison_raises(self, monkeypatch, word, rule):
+        # Both words are MSS and their first critical shift, at offset 3,
+        # is predicted to stay below.
+        from msskit import structure
+
+        assert is_mss_structured(word) == StructuredVerdict(True)
+        exact = structure._padded_sign_shift_less
+        monkeypatch.setattr(structure, "_padded_sign_shift_less", lambda lam, k: not exact(lam, k))
+        with pytest.raises(RuleDisagreement) as err:
+            is_mss_structured(word)
+        assert str(err.value) == (
+            f"{word}: shift 3 classified {rule} predicted pass but comparison says fail"
+        )
+        assert is_mss_structured(word, strict_rules=False) == StructuredVerdict(
+            False, failing_shift=3, failing_rule=rule
+        )
