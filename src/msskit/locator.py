@@ -6,11 +6,11 @@ in which symbol sequences appear matches any other conforming family.  A
 sequence of period p is realized at the parameter r* where the critical
 orbit returns: f_r*^p(1/2) = 1/2.
 
-``locate`` bisects on r inside [3, 4], steering by the parity-lex
-comparison between the critical itinerary and the target word; once the
-first p-1 symbols match, the sign of f^p(1/2) - 1/2, read through the
-prefix orientation, keeps steering until the residual drops below
-tolerance.
+``locate`` bisects on r inside [3, 4].  Sign-sequence order is parity-lex
+order and so parameter order, so the orbit's sign entry where it first
+leaves the target word says on which side of r* the midpoint lies; once
+the first p-1 symbols match, f^p(1/2) - 1/2 reads as R or L at step p and
+steers until the residual drops below tolerance.
 
 Near r = 4 the residual responds to parameter changes at a rate of order
 4^p, so with p = 7 or 8 one double-precision ulp in r already moves the
@@ -27,8 +27,8 @@ bisection path, each answering only what it can prove:
    runs only at a working precision of 53 bits or more (dps >= 15);
 2. fixed point: on Python integers x = X / 2^P, with P four bits below
    the mpmath working precision, the same kind of bound also covers the
-   rounding of the mpmath orbit, so a step decided here is the step
-   mpmath would take;
+   rounding of the mpmath orbit at any precision, so a step decided here
+   is the step mpmath would take;
 3. mpmath extended precision (30 significant digits, more for long
    periods) decides every step the other two leave open and is the only
    stage that ends the search, so it computes every reported residual.
@@ -60,13 +60,7 @@ from mpmath.libmp import (
 )
 
 from .errors import LocateError, NotMssError
-from .sequences import (
-    _SYMBOL_RANK,
-    SeqLike,
-    as_sequence,
-    is_shift_maximal,
-    sign_sequence,
-)
+from .sequences import SeqLike, as_sequence, is_shift_maximal, sign_sequence
 
 __all__ = [
     "MapParam",
@@ -93,14 +87,13 @@ _BOUND_INFLATION = 1 + 2.0**-20
 _COMPARE_SLACK = 2.0**-52
 
 # Fixed-point stage, in units of 2^-P with P = working precision - 4.
-# Below 53 bits it could not beat the float stage; above 1000 its error
-# bound, a float, would leave the float range.  One step floors by under
-# one unit, and the mpmath step r*x*(1-x) (three roundings to nearest,
-# each value at most 4) errs by under 9 * 2^-prec < one unit, so a step
-# of two units covers either orbit; the comparison slack covers the
-# floored thresholds and the rounding of the mpmath difference x - 1/2.
+# Above 1000 bits its error bound, a float, would leave the float range.
+# One step floors by under one unit, and the mpmath step r*x*(1-x) (three
+# roundings to nearest, each value at most 4) errs by under 9 * 2^-prec <
+# one unit at any precision, so a step of two units covers either orbit;
+# the comparison slack covers the floored thresholds and the rounding of
+# the mpmath difference x - 1/2.
 _FIXED_GUARD_BITS = 4
-_MIN_FIXED_BITS = 53
 _MAX_FIXED_BITS = 1000
 _FIXED_STEP = 2.0
 _FIXED_SLACK = 2
@@ -128,8 +121,10 @@ def itinerary(r: Param, steps: int, eps: float = _DEFAULT_EPS) -> str:
 
     Points within ``eps`` of 1/2 read as C; the dead band keeps the
     terminal step of a located orbit classified as C despite rounding.
-    ``eps`` must be finite and >= 0.  An mpf parameter runs at its own
-    context's precision and rounding.
+    ``eps`` must be finite and >= 0 and is compared at its exact value.
+    The orbit is the raw one :func:`locate` runs: an mpf parameter at
+    its own context's precision and rounding, any other at 53 bits
+    rounded to nearest, which is float64 arithmetic bit for bit.
 
     >>> itinerary(2.0, 1)
     'C'
@@ -145,21 +140,13 @@ def itinerary(r: Param, steps: int, eps: float = _DEFAULT_EPS) -> str:
         raise ValueError(f"parameter {rv} outside (0, 4]")
     if hasattr(rv, "_mpf_"):
         prec, rnd = rv.context._prec_rounding
-        eps_raw = rv.mpf_convert_rhs(eps)  # what an mpf comparison with eps converts
-        orbit = _orbit(rv._mpf_, prec, rnd)
-        return "".join(_symbol(next(orbit), eps_raw, prec, rnd) for _ in range(steps))
-    x = 0.5
-    out = []
-    for _ in range(steps):
-        x = rv * x * (1 - x)
-        d = x - 0.5
-        if abs(d) <= eps:
-            out.append("C")
-        elif d > 0:
-            out.append("R")
-        else:
-            out.append("L")
-    return "".join(out)
+        rv = rv._mpf_
+    else:  # float64 arithmetic is libmp's at 53 bits, rounded to nearest
+        prec, rnd = 53, round_nearest
+        rv = from_float(float(rv))
+    eps_raw = mpf.mpf_convert_rhs(eps)  # exact for int, float and mpf, as comparisons are
+    orbit = _orbit(rv, prec, rnd)
+    return "".join(_symbol(next(orbit), eps_raw, prec, rnd) for _ in range(steps))
 
 
 @dataclass(frozen=True)
@@ -176,24 +163,8 @@ class LocatedSequence:
     iterations: int
 
 
+# A decided verdict is the orbit's sign entry where it first leaves the target.
 _BELOW, _ABOVE, _MATCHED = -1, 1, 0
-
-
-def _r_parity(prefix: str) -> list[int]:
-    """Parity of the Rs before each position of ``prefix``, then of all of it."""
-    odd = [0]
-    for sym in prefix:
-        odd.append(odd[-1] ^ (sym == "R"))
-    return odd
-
-
-def _steer(got: str, want: str, odd: int) -> int:
-    """Verdict when the orbit reads ``got`` where the target has ``want``.
-
-    Parity-lex order: L < C < R, reversed after an odd number of Rs.
-    """
-    below = _SYMBOL_RANK[got] < _SYMBOL_RANK[want]
-    return _BELOW if below != bool(odd) else _ABOVE
 
 
 def _orbit(r: tuple, prec: int, rnd: str):
@@ -211,17 +182,18 @@ def _symbol(d: tuple, eps: tuple, prec: int, rnd: str) -> str:
     return "L" if d[0] else "R"  # d != 0 here, so its sign bit reads d > 0
 
 
-def _probe(r: tuple, prefix: str, odd: list[int], eps: tuple, prec: int):
+def _probe(r: tuple, prefix: str, signs: tuple, eps: tuple, prec: int):
     """Compare the critical itinerary at r against the target prefix.
 
     ``r`` and ``eps`` are raw mpf values, rounded to nearest at ``prec``
-    bits as in the locating context.  Returns (verdict, gap): verdict
-    _BELOW/_ABOVE from the first symbol difference, or _MATCHED when all
-    prefix symbols agree, in which case ``gap`` carries the raw
-    f^p(1/2) - 1/2 for the final steering and residual.  A dead-band hit
-    before the prefix ends is undecidable here and reads as _BELOW:
-    superstable points of shorter period are isolated, so the search
-    escapes upward.
+    bits as in the locating context; ``signs`` is the target's sign
+    sequence with the final C read as R.  Returns (verdict, gap): verdict
+    -signs[i] (_BELOW or _ABOVE) at the first symbol difference i, or
+    _MATCHED when all prefix symbols agree, in which case ``gap`` carries
+    the raw f^p(1/2) - 1/2 for the final steering and residual.  A
+    dead-band hit before the prefix ends is undecidable here and reads
+    as _BELOW: superstable points of shorter period are isolated, so the
+    search escapes upward.
     """
     orbit = _orbit(r, prec, round_nearest)
     for i, (want, d) in enumerate(zip(prefix, orbit)):
@@ -229,18 +201,19 @@ def _probe(r: tuple, prefix: str, odd: list[int], eps: tuple, prec: int):
         if got == "C":
             return _BELOW, None
         if got != want:
-            return _steer(got, want, odd[i]), None
+            return -signs[i], None
     return _MATCHED, next(orbit)
 
 
-def _probe_float(r: float, prefix: str, odd: list[int], eps: float, tol: float):
+def _probe_float(r: float, prefix: str, signs: tuple, eps: float, tol: float):
     """Float64 twin of :func:`_probe` that answers only when certain.
 
     ``err`` bounds the distance from the float orbit to the exact one,
     which also bounds the far smaller error of the mpf orbit.  A step is
     decided only when every comparison clears its threshold by
     2 * err + 2^-52; otherwise, and whenever the closing residual may be
-    below ``tol`` (only the mpf path ends the search), returns None.
+    below ``tol`` (only the mpf path ends the search), returns None.  A
+    decided closing step reads the gap as R (signs[-1]) or L (-signs[-1]).
     """
     x = 0.5
     err = 0.0
@@ -254,16 +227,16 @@ def _probe_float(r: float, prefix: str, odd: list[int], eps: float, tol: float):
             return _BELOW
         got = "R" if d > 0 else "L"
         if got != want:
-            return _steer(got, want, odd[i])
+            return -signs[i]
     err = (r * (abs(1 - 2 * x) + err) * err + _STEP_ROUNDING) * _BOUND_INFLATION
     gap = r * x * (1 - x) - 0.5
     if abs(gap) - tol <= 2 * err + _COMPARE_SLACK:
         return None
-    return _steer("R" if gap > 0 else "L", "C", odd[-1])
+    return signs[-1] if gap > 0 else -signs[-1]
 
 
-def _probe_fixed(mid, prefix: str, odd: list[int], bits: int, eps_fix: int, tol_fix: int):
-    """Fixed-point twin of :func:`_probe` that answers only when certain.
+def _probe_fixed(mid, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fix: int):
+    """Fixed-point twin of :func:`_probe_float`: it answers only when certain.
 
     The orbit runs on integers X = x 2^bits at the midpoint ``mid`` (a
     float, an mpf or a raw mpf tuple), which must be a multiple of
@@ -303,12 +276,12 @@ def _probe_fixed(mid, prefix: str, odd: list[int], bits: int, eps_fix: int, tol_
             return _BELOW
         got = "R" if d > 0 else "L"
         if got != want:
-            return _steer(got, want, odd[i])
+            return -signs[i]
     err = (r * (abs(one - 2 * x) + 3 * err) * err * scale + _FIXED_STEP) * _BOUND_INFLATION
     gap = (r_fix * x * (one - x) >> shift) - half
     if abs(gap) - tol_fix <= 2 * err + _FIXED_SLACK:
         return None
-    return _steer("R" if gap > 0 else "L", "C", odd[-1])
+    return signs[-1] if gap > 0 else -signs[-1]
 
 
 class _Contexts(threading.local):
@@ -355,7 +328,7 @@ def locate(
     docstring).  The first two abstain unless the mpmath probe would
     certainly give the same verdict, and only the mpmath probe ends the
     search, so the result is the all-mpmath bisection's whichever stage
-    decides a step.
+    decides a step.  All three steer by the target's sign sequence.
     The mpmath stage works on raw libmp values with the calls, precision
     and rounding of mpf objects, so its bits cannot differ from theirs.
     A converged parameter is confirmed by an independent :func:`itinerary`
@@ -381,13 +354,13 @@ def locate(
     if max_iter is None:
         max_iter = max(_MIN_ITER, 2 * p + math.ceil(-math.log2(tol)) + 60)
     prefix = s.body
-    odd = _r_parity(prefix)
+    signs = sign_sequence(prefix + "R")
     ctx = _CONTEXTS.get(dps)
     prec = ctx.prec
     eps_mp = ctx.mpf(eps)._mpf_
     tol_mp = ctx.mpf(tol)._mpf_
     bits = prec - _FIXED_GUARD_BITS
-    fixed = _MIN_FIXED_BITS <= bits <= _MAX_FIXED_BITS
+    fixed = bits <= _MAX_FIXED_BITS
     eps_fix = to_fixed(eps_mp, bits)
     tol_fix = to_fixed(tol_mp, bits)
     # float64 until the bracket is narrower than 2^-48, then raw mpf; below
@@ -396,15 +369,15 @@ def locate(
     for iteration in range(1, max_iter + 1):
         if isinstance(lo, float):
             mid = (lo + hi) / 2
-            verdict = _probe_float(mid, prefix, odd, eps, tol)
+            verdict = _probe_float(mid, prefix, signs, eps, tol)
         else:  # halving the rounded sum is exact, as mpf division by 2 is
             mid = mpf_shift(mpf_add(lo, hi, prec, round_nearest), -1)
             verdict = None
         if verdict is None and fixed:
-            verdict = _probe_fixed(mid, prefix, odd, bits, eps_fix, tol_fix)
+            verdict = _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)
         if verdict is None:
             r = ctx.mpf(mid)._mpf_ if isinstance(mid, float) else mid
-            verdict, gap = _probe(r, prefix, odd, eps_mp, prec)
+            verdict, gap = _probe(r, prefix, signs, eps_mp, prec)
             if verdict == _MATCHED:
                 dist = mpf_abs(gap, prec, round_nearest)
                 if mpf_lt(dist, tol_mp):
@@ -420,7 +393,7 @@ def locate(
                     residual = to_float(dist, rnd=round_nearest)
                     return LocatedSequence(s.symbols, r_star, residual, iteration)
                 # steer by the symbol the orbit would print at step p (gap != 0)
-                verdict = _steer("L" if gap[0] else "R", "C", odd[-1])
+                verdict = -signs[-1] if gap[0] else signs[-1]
         if verdict == _BELOW:
             lo = mid
         else:

@@ -58,7 +58,8 @@ __all__ = [
 _SYMBOL_RANK = {"L": 0, "C": 1, "R": 2}
 _R_BITS = str.maketrans("RL", "10", "C")
 
-_TOKEN_RE = re.compile(r"([RLC])(?:\^(\d+))?")
+_RUNS_RE = re.compile(r"(?:[RLC](?:\^\d+)?)*")  # the grammar, matched as a prefix
+_POWER_RE = re.compile(r"([RLC])\^(\d+)")
 
 
 class Ordering(enum.IntEnum):
@@ -78,20 +79,18 @@ def expand_exponents(text: str) -> str:
     """
     if isinstance(text, str) and not text.strip("RLC"):  # plain word
         return text
-    pos = 0
-    out = []
-    for match in _TOKEN_RE.finditer(text):
-        if match.start() != pos:
-            raise NotAdmissibleError(f"cannot parse {text!r} at offset {pos}")
-        letter, exp = match.groups()
-        count = int(exp) if exp is not None else 1
+
+    def run(match):
+        count = int(match[2])
         if count < 1:
             raise NotAdmissibleError(f"exponent must be positive in {text!r}")
-        out.append(letter * count)
-        pos = match.end()
-    if pos != len(text):
-        raise NotAdmissibleError(f"cannot parse {text!r} at offset {pos}")
-    return "".join(out)
+        return match[1] * count
+
+    head = _RUNS_RE.match(text).group()
+    word = _POWER_RE.sub(run, head)
+    if len(head) != len(text):
+        raise NotAdmissibleError(f"cannot parse {text!r} at offset {len(head)}")
+    return word
 
 
 def compress_exponents(word: str) -> str:

@@ -221,14 +221,14 @@ def _group_rule(form: BlockForm, k: int):
     return RULE_BLOCK_ORDER, None
 
 
-def is_mss_structured(seq: SeqLike, strict_rules: bool = True) -> StructuredVerdict:
+def is_mss_structured(seq: SeqLike) -> StructuredVerdict:
     """Structured shift-maximality test over the block form.
 
     Filter order: run bound, head-exponent and empty-tail constraints,
     immediate accept for a single group, then one comparison per critical
-    shift.  ``strict_rules`` keeps the group-level cross-check armed; it
-    has never fired on exhaustive runs and exists to surface any future
-    inconsistency instead of masking it.
+    shift, always cross-checked against the group-level rules: a mismatch
+    raises :class:`RuleDisagreement`.  It has never fired on exhaustive
+    runs and exists to surface any future inconsistency, not mask it.
     """
     s = as_sequence(seq)
     if not s.symbols.startswith("R"):
@@ -250,10 +250,10 @@ def is_mss_structured(seq: SeqLike, strict_rules: bool = True) -> StructuredVerd
         )
     if r == 1:
         return StructuredVerdict(True)
-    return _test_form(form, s.symbols, strict_rules)
+    return _test_form(form, s.symbols)
 
 
-def _test_form(form: BlockForm, word: str, strict_rules: bool = True) -> StructuredVerdict:
+def _test_form(form: BlockForm, word: str) -> StructuredVerdict:
     """Critical-shift comparisons of the structured test on a ready block form.
 
     ``form`` must be the block form of ``word`` and pass the filters of
@@ -267,7 +267,7 @@ def _test_form(form: BlockForm, word: str, strict_rules: bool = True) -> Structu
         shift_at += len(s) + n * (form.q + 1)
         below = _padded_sign_shift_less(lam, shift_at)
         rule, predicted = _group_rule(form, k)
-        if strict_rules and predicted is not None and predicted != below:
+        if predicted is not None and predicted != below:
             raise RuleDisagreement(
                 f"{word}: shift {shift_at} classified {rule} predicted "
                 f"{'pass' if predicted else 'fail'} but comparison says "

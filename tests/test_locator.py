@@ -20,10 +20,11 @@ from msskit import (
     locate,
     order_report,
     parity_lex_cmp,
+    sign_sequence,
     verify_order,
 )
 from msskit import locator
-from msskit.locator import _probe_fixed, _probe_float, _r_parity
+from msskit.locator import _probe_fixed, _probe_float
 
 from conftest import brute_shift_maximal
 
@@ -227,8 +228,9 @@ class TestFloatStage:
         for word in ["RLC", "RLLRLC", "RLRRRLRC", extremal(12)]:
             r_star = float(locate(word).r_star)
             prefix = word[:-1]
+            signs = sign_sequence(prefix + "R")
             for offset in (-1e-15, 0.0, 1e-15):
-                verdict = _probe_float(r_star + offset, prefix, _r_parity(prefix), 1e-12, 1e-13)
+                verdict = _probe_float(r_star + offset, prefix, signs, 1e-12, 1e-13)
                 assert verdict is None, (word, offset)
 
     def test_threads_stay_independent(self):
@@ -348,12 +350,12 @@ class TestFixedStage:
             tol_fix = math.floor(Fraction(1e-13) * 2**bits)
             r_star = ctx.mpf(locate(word).r_star)
             prefix = word[:-1]
-            odd = _r_parity(prefix)
+            signs = sign_sequence(prefix + "R")
 
             def probe(steps):
                 # offsets on the 2^-bits grid, so no answer is lost to rounding
                 mid = r_star + steps * unit
-                return _probe_fixed(mid, prefix, odd, bits, eps_fix, tol_fix)
+                return _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)
 
             near = round(1e-30 / unit)
             assert near >= 1
@@ -367,7 +369,7 @@ class TestFixedStage:
         # Away from r* the probe decides; moving eps or tol to within a few
         # units of an orbit distance it compares against must make it abstain.
         word = "RLRRRLRC"
-        prefix, odd = word[:-1], _r_parity(word[:-1])
+        prefix, signs = word[:-1], sign_sequence(word[:-1] + "R")
         ctx = mpmath.ctx_mp.MPContext()
         ctx.dps = default_dps(len(word))
         bits = ctx.prec - 4
@@ -381,11 +383,11 @@ class TestFixedStage:
         closest, gap = min(dists[:-1]), dists[-1]
         eps_fix = math.floor(Fraction(1e-12) * 2**bits)
         tol_fix = math.floor(Fraction(1e-13) * 2**bits)
-        assert _probe_fixed(mid, prefix, odd, bits, eps_fix, tol_fix) is not None
-        assert _probe_fixed(mid, prefix, odd, bits, eps_fix, gap // 2) is not None
+        assert _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix) is not None
+        assert _probe_fixed(mid, prefix, signs, bits, eps_fix, gap // 2) is not None
         for units in (1, 5):
-            assert _probe_fixed(mid, prefix, odd, bits, closest - units, tol_fix) is None
-            assert _probe_fixed(mid, prefix, odd, bits, eps_fix, gap - units) is None
+            assert _probe_fixed(mid, prefix, signs, bits, closest - units, tol_fix) is None
+            assert _probe_fixed(mid, prefix, signs, bits, eps_fix, gap - units) is None
 
     def test_mpf_runs_once_per_call(self, monkeypatch):
         # The float and fixed-point stages decide every step but the last.
@@ -415,8 +417,31 @@ def object_itinerary(r, steps, eps):
     return word
 
 
+def float64_itinerary(r, steps, eps):
+    """The critical itinerary in float64 arithmetic, as an oracle."""
+    x, word = 0.5, ""
+    for _ in range(steps):
+        x = r * x * (1 - x)
+        d = x - 0.5
+        word += "C" if abs(d) <= eps else "R" if d > 0 else "L"
+    return word
+
+
 class TestRawStage:
     """The mpf stage runs on raw libmp values with mpf's own bits."""
+
+    def test_float_itinerary_matches_float64_arithmetic(self):
+        rng = random.Random(20261018)
+        params = [rng.uniform(0.01, 4.0) for _ in range(40)]
+        params += [rng.uniform(3.5, 4.0) for _ in range(40)]
+        params += [float(locate(w).r_star) for w in ("RLC", "RLRRRLRC", extremal(12))]
+        params += [1, 2, 3, 4, 4.0, 2.0, 1e-300]
+        epsilons = [0, 1e-12, 1e-6, 1e-3, 1, mpmath.mpf("1e-9"), mpmath.mpf(2) ** -40]
+        for r in params:
+            for eps in epsilons:
+                expected = float64_itinerary(r, 300, eps)
+                assert itinerary(r, 300, eps) == expected, (r, eps)
+                assert itinerary(MapParam(r), 300, eps) == expected, (r, eps)
 
     @pytest.mark.parametrize("dps", [15, 30, 60, None])
     def test_itinerary_matches_object_arithmetic(self, dps):
@@ -457,7 +482,8 @@ class TestRawStage:
     )
     def test_identical_to_mpf_bisection_near_and_below_53_bits(self, dps, tol, eps):
         # Below 53 bits (dps <= 14) the float stage's bound does not cover
-        # the less accurate mpf orbit, so the search runs on mpf throughout.
+        # the less accurate mpf orbit, so only the fixed-point and mpf
+        # stages run.
         for word in (w for p in range(2, 11) for w in enumerate_mss_structured(p).words()):
             self.check_against_oracle(word, dps=dps, tol=tol, eps=eps)
 
