@@ -41,8 +41,24 @@ A stage abstains instead of guessing, so every step goes the way an
 all-mpmath bisection takes it and the result (parameter, residual and
 step count) is that bisection's, to the last bit, whichever stage
 decided each step.  In practice mpmath runs once per call, on the step
-that ends the search.  Located parameters are reported as mpmath floats;
-cast with float() for display.
+that ends the search.
+
+Ahead of the three stages sits a root enclosure (interval Newton, after
+R. E. Moore, *Interval Analysis*, 1966).  Most float steps match the
+whole prefix and are decided by the sign of the closing gap G(r) =
+f_r^p(1/2) - 1/2 alone.  After the first such step the float bracket is
+certified once, from one float orbit at its centre that carries bounds
+over the whole bracket: the prefix matches for every parameter in it,
+dG/dr keeps one sign, and two checked points a < b near the Newton root
+have |G| above tol plus the mpmath orbit's rounding error.  G being
+monotone, every later midpoint below a (above b), float or mpf, is a
+step the mpmath probe would take, with a gap beyond tol and the sign it
+has at a (at b); it is decided by that one comparison.
+Midpoints inside (a, b) go through the three stages, and mpmath alone
+still ends the search, so no result can change.  The enclosure is built
+from each call's own bracket and only where the float stage runs.
+Located parameters are reported as mpmath floats; cast with float() for
+display.
 """
 
 from __future__ import annotations
@@ -85,6 +101,7 @@ _FLOAT_WIDTH = 2.0**-48
 _STEP_ROUNDING = 2.0**-50
 _BOUND_INFLATION = 1 + 2.0**-20
 _COMPARE_SLACK = 2.0**-52
+_NEWTON_STEPS = 8  # from the bracket centre towards the root enclosure's a and b
 
 # Fixed-point stage, in units of 2^-P with P = working precision - 4.
 # Above 1000 bits its error bound, a float, would leave the float range.
@@ -208,12 +225,15 @@ def _probe(r: tuple, prefix: str, signs: tuple, eps: tuple, prec: int):
 def _probe_float(r: float, prefix: str, signs: tuple, eps: float, tol: float):
     """Float64 twin of :func:`_probe` that answers only when certain.
 
+    Returns (verdict, matched): ``matched`` is True when every prefix
+    symbol agreed, so that only the closing gap was left to read.
     ``err`` bounds the distance from the float orbit to the exact one,
     which also bounds the far smaller error of the mpf orbit.  A step is
     decided only when every comparison clears its threshold by
     2 * err + 2^-52; otherwise, and whenever the closing residual may be
-    below ``tol`` (only the mpf path ends the search), returns None.  A
-    decided closing step reads the gap as R (signs[-1]) or L (-signs[-1]).
+    below ``tol`` (only the mpf path ends the search), the verdict is
+    None.  A decided closing step reads the gap as R (signs[-1]) or L
+    (-signs[-1]).
     """
     x = 0.5
     err = 0.0
@@ -222,17 +242,104 @@ def _probe_float(r: float, prefix: str, signs: tuple, eps: float, tol: float):
         x = r * x * (1 - x)
         d = x - 0.5
         if abs(abs(d) - eps) <= 2 * err + _COMPARE_SLACK:
-            return None
+            return None, False
         if abs(d) <= eps:
-            return _BELOW
+            return _BELOW, False
         got = "R" if d > 0 else "L"
         if got != want:
-            return -signs[i]
+            return -signs[i], False
     err = (r * (abs(1 - 2 * x) + err) * err + _STEP_ROUNDING) * _BOUND_INFLATION
     gap = r * x * (1 - x) - 0.5
     if abs(gap) - tol <= 2 * err + _COMPARE_SLACK:
+        return None, True
+    return (signs[-1] if gap > 0 else -signs[-1]), True
+
+
+def _gap_slope(r: float, steps: int):
+    """Float G(r) = f_r^steps(1/2) - 1/2 and dG/dr, for Newton steps."""
+    x, dx = 0.5, 0.0
+    for _ in range(steps):
+        dx = x * (1 - x) + r * (1 - 2 * x) * dx
+        x = r * x * (1 - x)
+    return x - 0.5, dx
+
+
+def _certify(lo: float, hi: float, prefix: str, signs: tuple, eps: float, tol: float,
+             mpf_step: float):
+    """Certify the sign of the closing gap outside a small interval of [lo, hi].
+
+    G(r) = f_r^p(1/2) - 1/2, and ``mpf_step`` bounds the rounding of one
+    mpf step r*x*(1-x).  One float orbit at the centre c carries three
+    bounds over every r in the bracket, of half-width h: ``rho`` on the
+    distance from the exact and the mpf orbit at r to the float one at c
+    (:func:`_probe_float`'s recurrence plus h x (1-x) and the mpf
+    rounding per step), ``emp`` on the mpf orbit's distance from the
+    exact one, and ``drad`` on the distance from dx_j/dr at r to its
+    float value ``dx`` at c.  When every prefix comparison clears its
+    threshold by 2 * rho + 2^-52, the whole bracket matches the prefix;
+    when |dx| > drad at step p, G is monotone on it with slope sign s.
+    Newton steps from c then give points a < b, and :func:`_probe_float`
+    with ``tol`` raised by ``emp`` and one more step's rounding proves
+    s G(a) < -(tol + emp + mpf_step) and s G(b) > tol + emp + mpf_step.
+    So at every midpoint m <= a (m >= b) the mpf probe matches the
+    prefix and reads a gap beyond ``tol`` with the sign it has at a
+    (at b), and the step goes as :func:`_probe_float` decided at a (b).
+
+    Returns (a, b, verdict at a, verdict at b), or None when a bound or
+    check fails.
+    """
+    c = (lo + hi) / 2
+    h = (hi - lo) / 2
+    x, rho, err, emp, dx, drad = 0.5, 0.0, 0.0, 0.0, 0.0, 0.0
+    for i in range(len(prefix) + 1):
+        u = 1 - 2 * x
+        au = abs(u)
+        g = x * (1 - x)
+        # |r u x' - c u_c dx| <= h |u| |x'| + c (|u - u_c| |x'| + |u_c| drad)
+        deriv = abs(dx) + drad
+        drad = (rho * (au + rho) + h * (au + 2 * rho) * deriv + c * (2 * rho * deriv + au * drad)
+                + _STEP_ROUNDING * (g + hi * abs(dx))) * _BOUND_INFLATION
+        dx = g + c * u * dx
+        emp = (hi * (au + 2 * rho) * emp + mpf_step) * _BOUND_INFLATION
+        err = (c * (au + err) * err + _STEP_ROUNDING) * _BOUND_INFLATION
+        rho = (hi * (au + rho) * rho + h * g + _STEP_ROUNDING + mpf_step) * _BOUND_INFLATION
+        x = c * x * (1 - x)
+        if i < len(prefix):
+            d = x - 0.5
+            if not abs(d) - eps > 2 * rho + _COMPARE_SLACK or (d > 0) != (prefix[i] == "R"):
+                return None
+    if not abs(dx) > drad:
         return None
-    return signs[-1] if gap > 0 else -signs[-1]
+    s = 1 if dx > 0 else -1
+    margin = tol + emp + mpf_step
+    spread = 2 * (margin + 2 * err + _COMPARE_SLACK) / (abs(dx) - drad)
+    root, gap = c, x - 0.5
+    for _ in range(_NEWTON_STEPS):
+        step = gap / dx
+        root -= step
+        if abs(step) <= spread:
+            break
+        if not lo <= root <= hi:
+            return None
+        gap, dx = _gap_slope(root, len(prefix) + 1)
+        if not s * dx > 0:  # rounding has swamped the slope
+            return None
+    a, b = max(root - spread, lo), min(root + spread, hi)
+    if not a < b:
+        return None
+    below = _probe_float(a, prefix, signs, eps, margin)
+    above = _probe_float(b, prefix, signs, eps, margin)
+    if below != (-s * signs[-1], True) or above != (s * signs[-1], True):
+        return None
+    return a, b, below[0], above[0]
+
+
+def _replay(cert: tuple, mid) -> Optional[int]:
+    """The certified verdict at a float or raw mpf midpoint, or None inside (a, b)."""
+    a, b, below, above = cert
+    # rounding to a float is monotone, so m < a implies mid < a, and m > b mid > b
+    m = mid if isinstance(mid, float) else to_float(mid, rnd=round_nearest)
+    return below if m < a else above if m > b else None
 
 
 def _probe_fixed(mid, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fix: int):
@@ -329,6 +436,10 @@ def locate(
     certainly give the same verdict, and only the mpmath probe ends the
     search, so the result is the all-mpmath bisection's whichever stage
     decides a step.  All three steer by the target's sign sequence.
+    Where the float stage runs, a root enclosure certified once per call
+    decides, by one comparison, each later midpoint outside an interval
+    (a, b) around the root; it does so only where it proves the mpmath
+    probe's verdict, so it cannot change a result either.
     The mpmath stage works on raw libmp values with the calls, precision
     and rounding of mpf objects, so its bits cannot differ from theirs.
     A converged parameter is confirmed by an independent :func:`itinerary`
@@ -366,17 +477,24 @@ def locate(
     # float64 until the bracket is narrower than 2^-48, then raw mpf; below
     # 53 bits the float stage's bound does not cover the mpf orbit
     lo, hi = (3.0, 4.0) if prec >= 53 else (ctx.mpf(3)._mpf_, ctx.mpf(4)._mpf_)
+    # one mpf step r*x*(1-x) rounds by < 4 * 2^-prec; the cap keeps the bound a normal float
+    mpf_step = 2.0 ** (2 - min(prec, 1000))
+    cert = None  # (a, b, verdict at or below a, verdict at or above b) once certified
     for iteration in range(1, max_iter + 1):
-        if isinstance(lo, float):
+        floating = isinstance(lo, float)
+        if floating:
             mid = (lo + hi) / 2
-            verdict = _probe_float(mid, prefix, signs, eps, tol)
         else:  # halving the rounded sum is exact, as mpf division by 2 is
             mid = mpf_shift(mpf_add(lo, hi, prec, round_nearest), -1)
-            verdict = None
+        verdict = matched = None
+        if cert is not None:
+            verdict = _replay(cert, mid)
+        if verdict is None and floating:
+            verdict, matched = _probe_float(mid, prefix, signs, eps, tol)
         if verdict is None and fixed:
             verdict = _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)
         if verdict is None:
-            r = ctx.mpf(mid)._mpf_ if isinstance(mid, float) else mid
+            r = ctx.mpf(mid)._mpf_ if floating else mid
             verdict, gap = _probe(r, prefix, signs, eps_mp, prec)
             if verdict == _MATCHED:
                 dist = mpf_abs(gap, prec, round_nearest)
@@ -398,7 +516,9 @@ def locate(
             lo = mid
         else:
             hi = mid
-        if isinstance(lo, float) and hi - lo < _FLOAT_WIDTH:
+        if matched and cert is None:
+            cert = _certify(lo, hi, prefix, signs, eps, tol, mpf_step)
+        if floating and hi - lo < _FLOAT_WIDTH:
             lo, hi = ctx.mpf(lo)._mpf_, ctx.mpf(hi)._mpf_
     raise LocateError(f"{s}: no convergence within {max_iter} bisection steps")
 

@@ -4,12 +4,14 @@ import math
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mpf
 from mpmath.ctx_mp_python import _mpf
+from mpmath.libmp import from_float, mpf_abs, mpf_lt
 
 from msskit import (
     LocateError,
@@ -24,7 +26,7 @@ from msskit import (
     verify_order,
 )
 from msskit import locator
-from msskit.locator import _probe_fixed, _probe_float
+from msskit.locator import _MATCHED, _probe, _probe_fixed, _probe_float
 
 from conftest import brute_shift_maximal
 
@@ -231,7 +233,7 @@ class TestFloatStage:
             signs = sign_sequence(prefix + "R")
             for offset in (-1e-15, 0.0, 1e-15):
                 verdict = _probe_float(r_star + offset, prefix, signs, 1e-12, 1e-13)
-                assert verdict is None, (word, offset)
+                assert verdict == (None, True), (word, offset)
 
     def test_threads_stay_independent(self):
         # Each thread works at its own precision, low enough to show in the
@@ -404,6 +406,144 @@ class TestFixedStage:
         calls.clear()
         locate(extremal(40))
         assert len(calls) == 1
+
+
+def mpf_step_agrees(verdict, mid, prefix, eps, tol, prec):
+    """True when the mpf probe at ``mid`` (a float or raw mpf) takes the
+    certified step: it matches the whole prefix and reads a closing gap of
+    at least ``tol`` whose steering verdict is ``verdict``."""
+    signs = sign_sequence(prefix + "R")
+    r = from_float(mid) if isinstance(mid, float) else mid
+    got, gap = _probe(r, prefix, signs, from_float(eps), prec)
+    if got != _MATCHED or mpf_lt(mpf_abs(gap), from_float(tol)):
+        return False
+    return verdict == (-signs[-1] if gap[0] else signs[-1])
+
+
+def period_words(pmax):
+    return [w for p in range(2, pmax + 1) for w in enumerate_mss_structured(p).words()]
+
+
+class TestRootEnclosure:
+    """Steps decided by the certified root enclosure are the mpf probe's steps."""
+
+    @staticmethod
+    def replayed_steps(monkeypatch, words, **kwargs):
+        """Locate ``words``, re-deciding each replayed step with the mpf probe.
+
+        Returns (replayed step count, the steps the mpf probe decides otherwise).
+        """
+        tol, eps = kwargs.get("tol", 1e-13), kwargs.get("eps", 1e-12)
+        replay = locator._replay
+        current = {}
+        replayed, wrong = [], []
+
+        def checked(cert, mid):
+            verdict = replay(cert, mid)
+            if verdict is not None:
+                word, prec = current["word"], current["prec"]
+                replayed.append(word)
+                if not mpf_step_agrees(verdict, mid, word[:-1], eps, tol, prec):
+                    wrong.append((word, mid))
+            return verdict
+
+        monkeypatch.setattr(locator, "_replay", checked)
+        for word in words:
+            ctx = mpmath.ctx_mp.MPContext()
+            ctx.dps = kwargs.get("dps") or default_args(len(word), tol)["dps"]
+            current.update(word=word, prec=ctx.prec)
+            try:
+                locate(word, **kwargs)
+            except LocateError:  # 18 digits cannot resolve the longest words
+                pass
+        return len(replayed), wrong
+
+    @pytest.mark.parametrize("kwargs", [{}, {"dps": 18}])
+    def test_replayed_steps_are_mpf_steps(self, monkeypatch, kwargs):
+        words = [row.sequence for row in order_report(10)]
+        words += [extremal(p) for p in range(14, 61)]
+        words += random_mss_words(seed=20261019, count=40, pmin=4, pmax=40)
+        replayed, wrong = self.replayed_steps(monkeypatch, words, **kwargs)
+        assert wrong == []
+        assert replayed > 4500
+
+    @pytest.mark.parametrize("bits", [None, 40])
+    def test_certificate_holds_across_the_bracket(self, monkeypatch, bits):
+        # Every parameter of a certified bracket outside (a, b) is decided as
+        # certified, not only the midpoints a search visits: at the locating
+        # precision, and at 40 bits for a certificate built for 40-bit
+        # rounding, where the mpf orbit is far coarser than the float one.
+        certify = locator._certify
+        calls = []
+
+        def recorded(*args):
+            cert = certify(*args)
+            if cert is not None:
+                calls.append(args)
+            return cert
+
+        monkeypatch.setattr(locator, "_certify", recorded)
+        words = period_words(10)
+        for word in words:
+            locate(word)
+        assert len(calls) == len(words)
+        checked = 0
+        for lo, hi, prefix, signs, eps, tol, mpf_step in calls:
+            prec = bits or 2 - round(math.log2(mpf_step))
+            cert = certify(lo, hi, prefix, signs, eps, tol, 2.0 ** (2 - prec))
+            if cert is None:
+                continue
+            a, b, below, above = cert
+            points = {lo: below, a: below, b: above, hi: above}
+            for k in range(1, 9):
+                points[lo + (a - lo) * k / 9] = below
+                points[b + (hi - b) * k / 9] = above
+                points[a - k * math.ulp(a)] = below
+                points[b + k * math.ulp(b)] = above
+            for m, verdict in points.items():
+                if lo <= m <= hi:
+                    checked += 1
+                    assert mpf_step_agrees(verdict, m, prefix, eps, tol, prec), (prefix, m)
+        assert checked > 30 * len(words)
+
+    def test_refuses_a_bracket_where_the_gap_turns(self):
+        # For RC, G(r) = r^2/4 - r^3/16 - 1/2 peaks at r = 8/3: on [2.6, 3.6]
+        # every parameter reads R at step 1, but G is not monotone.
+        args = ("R", sign_sequence("RR"), 1e-12, 1e-13, 2.0**-101)
+        assert locator._certify(2.6, 3.6, *args) is None
+        a, b, below, above = locator._certify(3.2, 3.27, *args)
+        assert a < 1 + math.sqrt(5) < b
+        assert (below, above) == (locator._BELOW, locator._ABOVE)
+
+    def test_never_below_53_bits(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(locator, "_certify", lambda *args: calls.append(args))
+        for word in period_words(8):
+            try:
+                locate(word, dps=9, tol=1e-9, eps=1e-9)
+            except LocateError:
+                pass
+        assert calls == []
+        locate("RLRRC", dps=15)
+        assert calls
+
+    def test_probe_counts(self, monkeypatch):
+        # Without the enclosure order_report(10) makes 5,510 float probes
+        # (the same 561 fixed-point and 116 mpf ones); the counts are pinned
+        # so that a certificate that silently stops certifying shows.
+        counts = Counter()
+        for name in ("_probe_float", "_probe_fixed", "_probe", "_certify"):
+            def counted(*args, _name=name, _probe=getattr(locator, name)):
+                result = _probe(*args)
+                counts[_name] += 1
+                if _name == "_certify" and result is not None:
+                    counts["certified"] += 1
+                return result
+
+            monkeypatch.setattr(locator, name, counted)
+        order_report(10)
+        assert counts == {"_probe_float": 2098, "_probe_fixed": 561, "_probe": 116,
+                          "_certify": 407, "certified": 116}
 
 
 def object_itinerary(r, steps, eps):
