@@ -31,7 +31,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .composition import compose, factor_once, factor_tree, is_primary
+from .composition import _divisor_scan, compose, factor_once, factor_tree
 from .counting import blocks_report, cores_report, single_group_report
 from .errors import MssKitError
 from .generators import enumerate_mss_bruteforce, enumerate_mss_structured
@@ -89,7 +89,8 @@ def _cmd_enumerate(args) -> int:
     for index, s in enumerate(enum):
         form = block_decompose(s)
         block_form = f"q={form.q}:" + ";".join(f"{n},{b}" for n, b in form.runs)
-        rows.append([index, render(s), form.q, block_form, is_primary(s)])
+        primary = next(_divisor_scan(s), None) is None  # the enumerator proved s
+        rows.append([index, render(s), form.q, block_form, primary])
     if args.format == "json":
         sequences = [dict(zip(header, row)) for row in rows]
         _emit_json({"period": args.period, "method": args.method,

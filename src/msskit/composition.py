@@ -102,10 +102,16 @@ def _split_at(word: str, h: int) -> Optional[tuple[str, str]]:
 
 
 def _factorizations(seq: SeqLike):
-    """Lazy divisor scan: every factorization, shortest inner sequence first."""
+    """Prove the input an MSS-sequence, then scan it with :func:`_divisor_scan`."""
     s = as_sequence(seq)
     if not is_shift_maximal(s):
         raise NotMssError(f"{s} is not an MSS-sequence")
+    return _divisor_scan(s)
+
+
+def _divisor_scan(s: AdmissibleSeq):
+    """Lazy divisor scan of a sequence already known to be shift-maximal:
+    every factorization, shortest inner sequence first."""
     p = s.period
     for h in range(2, p):
         if p % h:
@@ -168,11 +174,17 @@ class FactorTree:
 def factor_tree(seq: SeqLike) -> FactorTree:
     """Factor recursively until every leaf is primary."""
     s = as_sequence(seq)
-    split = factor_once(s)
+    return _factor_tree(s, factor_once(s))
+
+
+def _factor_tree(s: AdmissibleSeq, split) -> FactorTree:
+    """The tree below ``s``, given its first factorization ``split``.
+
+    :func:`_split_at` proved both factors shift-maximal, so they are
+    scanned without a second proof."""
     if split is None:
         return FactorTree(s)
-    inner, outer = split
-    return FactorTree(s, (factor_tree(inner), factor_tree(outer)))
+    return FactorTree(s, tuple(_factor_tree(f, next(_divisor_scan(f), None)) for f in split))
 
 
 def check_stem_shape(seq: SeqLike) -> bool:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -60,6 +61,9 @@ _R_BITS = str.maketrans("RL", "10", "C")
 
 _RUNS_RE = re.compile(r"(?:[RLC](?:\^\d+)?)*")  # the grammar, matched as a prefix
 _POWER_RE = re.compile(r"([RLC])\^(\d+)")
+_MAX_LENGTH = 10**6  # longest word run notation may expand to
+_MAX_DIGITS = len(str(_MAX_LENGTH))
+_TOO_LONG = f"run notation expands to more than {_MAX_LENGTH} symbols"
 
 
 class Ordering(enum.IntEnum):
@@ -75,22 +79,35 @@ def expand_exponents(text: str) -> str:
 
     Grammar: a sequence of letters R/L/C, each optionally followed by
     ``^k`` with k a positive decimal integer.  A plain word of R, L and
-    C alone is returned as it is, without running the grammar.
+    C alone is returned as it is, without running the grammar.  A word
+    longer than ``_MAX_LENGTH`` symbols is rejected before any run is
+    built, and an exponent reaches ``int()`` only when it has at most
+    ``_MAX_DIGITS`` digits besides its leading zeros.  A zero exponent is
+    reported first, then a syntax error, then the length.
     """
     if isinstance(text, str) and not text.strip("RLC"):  # plain word
+        if len(text) > _MAX_LENGTH:
+            raise NotAdmissibleError(_TOO_LONG)
         return text
-
-    def run(match):
-        count = int(match[2])
-        if count < 1:
-            raise NotAdmissibleError(f"exponent must be positive in {text!r}")
-        return match[1] * count
-
     head = _RUNS_RE.match(text).group()
-    word = _POWER_RE.sub(run, head)
+    parts = _POWER_RE.split(head)  # plain letters, then (letter, exponent, plain letters)*
+    counts = [int(d) if len(d) <= _MAX_DIGITS else _long_exponent(d) for d in parts[2::3]]
+    if 0 in counts:
+        raise NotAdmissibleError(f"exponent must be positive in {text!r}")
     if len(head) != len(text):
         raise NotAdmissibleError(f"cannot parse {text!r} at offset {len(head)}")
-    return word
+    if sum(map(len, parts[::3])) + sum(counts) > _MAX_LENGTH:
+        raise NotAdmissibleError(_TOO_LONG)
+    parts[1::3] = map(operator.mul, parts[1::3], counts)  # each letter becomes its run
+    del parts[2::3]
+    return "".join(parts)
+
+
+def _long_exponent(digits: str) -> int:
+    """Value of an exponent written with more than ``_MAX_DIGITS`` digits, or
+    ``_MAX_LENGTH + 1`` when more than that many remain after its leading zeros."""
+    digits = digits.lstrip("0")
+    return int(digits or 0) if len(digits) <= _MAX_DIGITS else _MAX_LENGTH + 1
 
 
 def compress_exponents(word: str) -> str:

@@ -53,6 +53,13 @@ class TestCheck:
         assert code == 1
         assert err.startswith("error:") and "\n" not in err.strip()
 
+    @pytest.mark.parametrize("text", ["R^" + "1" * 5000 + "C", "R^100000000C"],
+                             ids=["5000-digit-exponent", "exponent-1e8"])
+    def test_huge_exponent_is_domain_error(self, capsys, text):
+        code, out, err = run_cli(capsys, "check", text)
+        assert (code, out) == (1, "")
+        assert err == "error: run notation expands to more than 1000000 symbols\n"
+
 
 class TestEnumerate:
     def test_text(self, capsys):

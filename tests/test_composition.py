@@ -154,6 +154,20 @@ class TestFactorTree:
             for leaf in factor_tree(word).leaves():
                 assert is_primary(leaf)
 
+    def test_proves_its_input_once(self, monkeypatch):
+        # The factors below the root come from _split_at, which has proven
+        # them shift-maximal; only the input itself is tested again.
+        from msskit import composition
+
+        calls = []
+        monkeypatch.setattr(composition, "is_shift_maximal",
+                            lambda s: calls.append(s) or is_shift_maximal(s))
+        tree = factor_tree(compose("RLC", compose("RC", "RC")))
+        assert len(tree.leaves()) == 3
+        assert [s.symbols for s in calls] == [tree.node.symbols]
+        with pytest.raises(NotMssError):
+            factor_tree("RRC")
+
     def test_node_products(self):
         def walk(tree):
             if tree.children is None:

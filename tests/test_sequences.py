@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,7 +39,7 @@ _GRAMMAR_TOKEN = re.compile(r"([RLC])(?:\^(\d+))?")
 
 def grammar_expand(text):
     pos = 0
-    out = []
+    runs = []
     for match in _GRAMMAR_TOKEN.finditer(text):
         if match.start() != pos:
             raise NotAdmissibleError(f"cannot parse {text!r} at offset {pos}")
@@ -46,11 +47,13 @@ def grammar_expand(text):
         count = int(exp) if exp is not None else 1
         if count < 1:
             raise NotAdmissibleError(f"exponent must be positive in {text!r}")
-        out.append(letter * count)
+        runs.append((letter, count))
         pos = match.end()
     if pos != len(text):
         raise NotAdmissibleError(f"cannot parse {text!r} at offset {pos}")
-    return "".join(out)
+    if sum(count for _, count in runs) > 10**6:
+        raise NotAdmissibleError("run notation expands to more than 1000000 symbols")
+    return "".join(letter * count for letter, count in runs)
 
 
 def grammar_parse(text):
@@ -96,6 +99,30 @@ class TestParsing:
         assert expand_exponents("RL^2RC") == "RLLRC"
         assert expand_exponents("R^3LC") == "RRRLC"
         assert expand_exponents("RLLRC") == "RLLRC"
+
+    def test_expansion_is_bounded(self):
+        assert expand_exponents("R^0001C") == "RC"
+        assert expand_exponents("R^" + "0" * 5000 + "1C") == "RC"
+        assert len(expand_exponents("R^999999C")) == 10**6
+        too_long = "run notation expands to more than 1000000 symbols"
+        for text in ["R^1000000C", "R^" + "1" * 5000 + "C", "R^999999LC", "R" * 10**6 + "C"]:
+            with pytest.raises(NotAdmissibleError, match=too_long):
+                expand_exponents(text)
+        # a zero exponent, then a parse error, are reported before the length
+        with pytest.raises(NotAdmissibleError, match="exponent must be positive"):
+            expand_exponents("R^2000000L^0C")
+        with pytest.raises(NotAdmissibleError, match="cannot parse"):
+            expand_exponents("R^2000000C^")
+
+    def test_huge_exponent_costs_no_memory(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotAdmissibleError):
+                parse_sequence("R^100000000C")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_compress_roundtrip(self):
         for text in ["RC", "RLLRC", "RLLLLRLLLRRLLLC", "RRRC"]:
