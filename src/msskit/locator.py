@@ -26,9 +26,9 @@ bisection path, each answering only what it can prove:
    mpmath orbit only when that one is at least as accurate, so the stage
    runs only at a working precision of 53 bits or more (dps >= 15);
 2. fixed point: on Python integers x = X / 2^P, with P four bits below
-   the mpmath working precision, the same kind of bound also covers the
-   rounding of the mpmath orbit at any precision, so a step decided here
-   is the step mpmath would take;
+   the mpmath working precision, a static bound of (4^i - 1)/3 units at
+   step i covers this orbit and the mpmath one at any precision, so a
+   step decided here is the step mpmath would take;
 3. mpmath extended precision (30 significant digits, more for long
    periods) decides every step the other two leave open and is the only
    stage that ends the search, so it computes every reported residual.
@@ -103,16 +103,11 @@ _BOUND_INFLATION = 1 + 2.0**-20
 _COMPARE_SLACK = 2.0**-52
 _NEWTON_STEPS = 8  # from the bracket centre towards the root enclosure's a and b
 
-# Fixed-point stage, in units of 2^-P with P = working precision - 4.
-# Above 1000 bits its error bound, a float, would leave the float range.
-# One step floors by under one unit, and the mpmath step r*x*(1-x) (three
-# roundings to nearest, each value at most 4) errs by under 9 * 2^-prec <
-# one unit at any precision, so a step of two units covers either orbit;
-# the comparison slack covers the floored thresholds and the rounding of
+# Fixed-point stage, in units of 2^-P with P = working precision - 4, so
+# that one mpmath step r*x*(1-x) errs by under one unit (see _probe_fixed).
+# The comparison slack covers the floored thresholds and the rounding of
 # the mpmath difference x - 1/2.
 _FIXED_GUARD_BITS = 4
-_MAX_FIXED_BITS = 1000
-_FIXED_STEP = 2.0
 _FIXED_SLACK = 2
 
 
@@ -348,32 +343,34 @@ def _probe_fixed(mid, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fi
     The orbit runs on integers X = x 2^bits at the midpoint ``mid`` (a
     float, an mpf or a raw mpf tuple), which must be a multiple of
     2^-bits; ``eps_fix`` and ``tol_fix`` are the mpmath thresholds in the
-    same units, floored.  ``err``, in units of 2^-bits, bounds the
-    distance from the exact orbit of both this orbit and the mpmath one,
-    so they are at most 2 * err apart; its update reads |1 - 2x| off this
-    orbit, which the mpmath orbit may be 2 * err away from, hence
-    3 * err.  The mpmath orbit is the raw one of :func:`_orbit`: it makes
-    the libmp calls of mpf objects at the context's precision and
-    rounding, so its bits, and this bound, are those of mpf arithmetic.
-    A step is decided only when every comparison clears its threshold by
-    2 * err + ``_FIXED_SLACK``; otherwise, when the midpoint is off the
-    grid, and whenever the closing residual may be below ``tol`` (only
-    the mpf path ends the search), returns None.
+    same units, floored.  The mpmath orbit is the raw one of :func:`_orbit`,
+    with the bits of mpf arithmetic.  After step i this orbit and the
+    mpmath one are each within ``err`` = E_i = (4^i - 1)/3 units of the
+    exact one, since E_0 = 0 and E_{i+1} = 4 E_i + 1:
+
+    - with r <= 4 all three orbits stay in [0, 1] (before its last
+      rounding an mpf step is at most 1 + 2^-prec, which rounds to 1),
+      where one step of f at most multiplies their distance by 4;
+    - the floor adds under one unit per step, and the mpmath step, three
+      roundings of values at most 4, under 9 * 2^-prec < one unit.
+
+    A step is decided only when every comparison clears its floored
+    threshold by 2 E_i + ``_FIXED_SLACK``; otherwise, when the midpoint is
+    off the grid, and whenever the closing residual may be below ``tol``
+    (only the mpf path ends the search), returns None.
     """
     raw = from_float(mid) if isinstance(mid, float) else getattr(mid, "_mpf_", mid)
     _, man, exp, _ = raw
     if exp + bits < 0:  # man is odd, so mid is off the grid
         return None
     r_fix = man << (exp + bits)
-    r = to_float(raw, rnd=round_nearest)
     one = 1 << bits
     half = one >> 1
     shift = 2 * bits
-    scale = 2.0**-bits
     x = half
-    err = 0.0
+    err = 0
     for i, want in enumerate(prefix):
-        err = (r * (abs(one - 2 * x) + 3 * err) * err * scale + _FIXED_STEP) * _BOUND_INFLATION
+        err = 4 * err + 1
         x = r_fix * x * (one - x) >> shift
         d = x - half
         dist = abs(d)
@@ -384,7 +381,7 @@ def _probe_fixed(mid, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fi
         got = "R" if d > 0 else "L"
         if got != want:
             return -signs[i]
-    err = (r * (abs(one - 2 * x) + 3 * err) * err * scale + _FIXED_STEP) * _BOUND_INFLATION
+    err = 4 * err + 1
     gap = (r_fix * x * (one - x) >> shift) - half
     if abs(gap) - tol_fix <= 2 * err + _FIXED_SLACK:
         return None
@@ -431,7 +428,8 @@ def locate(
 
     Each bisection step is decided by the first of three stages that can
     prove its verdict: a float64 probe (from dps 15 up), a fixed-point
-    integer probe, and the mpmath probe at ``dps`` digits (see the module
+    integer probe at any ``dps``, whose error is at most (4^i - 1)/3 units
+    after step i, and the mpmath probe at ``dps`` digits (see the module
     docstring).  The first two abstain unless the mpmath probe would
     certainly give the same verdict, and only the mpmath probe ends the
     search, so the result is the all-mpmath bisection's whichever stage
@@ -471,7 +469,6 @@ def locate(
     eps_mp = ctx.mpf(eps)._mpf_
     tol_mp = ctx.mpf(tol)._mpf_
     bits = prec - _FIXED_GUARD_BITS
-    fixed = bits <= _MAX_FIXED_BITS
     eps_fix = to_fixed(eps_mp, bits)
     tol_fix = to_fixed(tol_mp, bits)
     # float64 until the bracket is narrower than 2^-48, then raw mpf; below
@@ -491,7 +488,7 @@ def locate(
             verdict = _replay(cert, mid)
         if verdict is None and floating:
             verdict, matched = _probe_float(mid, prefix, signs, eps, tol)
-        if verdict is None and fixed:
+        if verdict is None:
             verdict = _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)
         if verdict is None:
             r = ctx.mpf(mid)._mpf_ if floating else mid

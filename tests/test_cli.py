@@ -206,6 +206,15 @@ class TestLocateVerbs:
         assert err.startswith("error: tol must be finite and positive")
         assert err.count("\n") == 1
 
+    def test_locate_above_1000_bits(self, capsys):
+        # tol = 1e-300 needs over 1000 bits of working precision.
+        code, out, err = run_cli(capsys, "locate", "RLRRRLRC", "--tol", "1e-300")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"sequence": "RLRRRLRC", "r_star": 3.554640862768825, '
+            '"residual": 8.95881680007307e-301, "iterations": 995}\n'
+        )
+
     def test_locate_degenerate(self, capsys):
         code, out, _ = run_cli(capsys, "locate", "C")
         assert json.loads(out)["r_star"] == 2.0

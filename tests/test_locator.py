@@ -391,6 +391,84 @@ class TestFixedStage:
             assert _probe_fixed(mid, prefix, signs, bits, closest - units, tol_fix) is None
             assert _probe_fixed(mid, prefix, signs, bits, eps_fix, gap - units) is None
 
+    def test_margin_is_twice_the_static_bound(self):
+        # Either orbit may be E_i = (4^i - 1)/3 units from the exact one
+        # after step i, so a comparison is decided once it clears its
+        # threshold by 2 E_i + _FIXED_SLACK units, and not before.
+        word = "RLRRRLRC"
+        prefix, signs = word[:-1], sign_sequence(word[:-1] + "R")
+        ctx = mpmath.ctx_mp.MPContext()
+        ctx.dps = default_dps(len(word))
+        bits = ctx.prec - 4
+        mid = ctx.mpf(locate(word).r_star) - ctx.ldexp(1, -30)
+        big = int(mid * 2**bits)
+        one, x, dists = 1 << bits, 1 << (bits - 1), []
+        for _ in word:
+            x = big * x * (one - x) >> 2 * bits
+            dists.append(abs(x - (one >> 1)))
+        eps_fix = math.floor(Fraction(1e-12) * 2**bits)
+        tol_fix = math.floor(Fraction(1e-13) * 2**bits)
+
+        def probe(eps_fix, tol_fix):
+            return _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)
+
+        bound = [(4**i - 1) // 3 for i in range(1, len(word) + 1)]
+        k = min(range(len(prefix)), key=dists.__getitem__)
+        margin = 2 * bound[k] + locator._FIXED_SLACK
+        assert probe(dists[k] - margin, tol_fix) is None
+        assert probe(dists[k] + margin, tol_fix) is None
+        assert probe(dists[k] - margin - 1, tol_fix) is not None
+        assert probe(dists[k] + margin + 1, tol_fix) == locator._BELOW
+        margin = 2 * bound[-1] + locator._FIXED_SLACK
+        assert probe(eps_fix, dists[-1] - margin) is None
+        assert probe(eps_fix, dists[-1] - margin - 1) is not None
+
+    @pytest.mark.parametrize("dps", [5, 9, 15, 30, 60])
+    def test_orbits_stay_within_the_static_bound(self, dps):
+        # After step i the integer orbit and the mpf orbit are each within
+        # E_i = (4^i - 1)/3 units of 2^-bits of the exact orbit, computed
+        # here at four times the precision.
+        ctx, exact = mpmath.ctx_mp.MPContext(), mpmath.ctx_mp.MPContext()
+        ctx.dps = dps
+        exact.prec = 4 * ctx.prec
+        bits = ctx.prec - 4
+        one = 1 << bits
+        rng = random.Random(dps)
+        grid = [rng.randrange(3 * one, 4 * one) for _ in range(12)]
+        grid += [4 * one - 1, 4 * one - 2**bits // 2**10, 4 * one]
+        for word in ("RLRRRLRC", extremal(12), extremal(30)):
+            grid.append(int(locate(word).r_star * one))
+        for r_fix in grid:
+            r_mp, r_ex = ctx.mpf(r_fix) / one, exact.mpf(r_fix) / one
+            assert r_ex * one == r_fix and r_mp == r_ex
+            x_fix, x_mp, x_ex = one >> 1, ctx.mpf(0.5), exact.mpf(0.5)
+            bound = 0
+            for step in range(1, 61):
+                bound = 4 * bound + 1
+                x_fix = r_fix * x_fix * (one - x_fix) >> 2 * bits
+                x_mp = r_mp * x_mp * (1 - x_mp)
+                x_ex = r_ex * x_ex * (1 - x_ex)
+                assert 0 <= x_mp <= 1, (dps, r_fix, step)
+                assert abs(x_fix - x_ex * one) <= bound, (dps, r_fix, step)
+                assert abs(exact.mpf(x_mp) - x_ex) * one <= bound, (dps, r_fix, step)
+
+    @pytest.mark.parametrize("word", ["RLC", "RLRRRLRC"])
+    def test_runs_above_1000_bits(self, monkeypatch, word):
+        # tol = 1e-300 needs over 1000 bits of working precision; the
+        # fixed-point stage still decides every step but the last.
+        expected = mpf_bisection(word, tol=1e-300, **default_args(len(word), 1e-300))
+        assert expected is not None
+        calls = []
+        probe = locator._probe
+
+        def counted(*args):
+            calls.append(args[1])
+            return probe(*args)
+
+        monkeypatch.setattr(locator, "_probe", counted)
+        assert _as_tuple(locate(word, tol=1e-300)) == expected
+        assert len(calls) == 1
+
     def test_mpf_runs_once_per_call(self, monkeypatch):
         # The float and fixed-point stages decide every step but the last.
         calls = []
