@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
-from .composition import factor_all, is_primary
+from .composition import _divisor_scan
 from .generators import enumerate_blocks, enumerate_mss_structured
 from .sequences import AdmissibleSeq
 from .structure import block_decompose
@@ -149,20 +149,27 @@ def _single_group_form(seq: AdmissibleSeq):
     return None
 
 
-def enumerated_single_group_nonprimary(p: int) -> int:
+def enumerated_single_group_nonprimary(enumeration: Iterable[AdmissibleSeq]) -> int:
+    """Non-primary single-group sequences among one period's MSS-sequences.
+
+    ``enumeration`` holds the sequences an enumerator returned for the
+    period, such as a :class:`~msskit.generators.PeriodEnumeration`.  The
+    enumerator proved them shift-maximal, so they are not proved again."""
     count = 0
-    for s in enumerate_mss_structured(p):
-        if _single_group_form(s) is not None and not is_primary(s):
+    for s in enumeration:
+        if _single_group_form(s) is not None and next(_divisor_scan(s), None) is not None:
             count += 1
     return count
 
 
-def enumerated_core_factors(p: int) -> set[str]:
+def enumerated_core_factors(enumeration: Iterable[AdmissibleSeq]) -> set[str]:
     """Distinct single-group inner factors (head run >= 1) found by factoring
-    every period-p sequence across all divisor alignments."""
+    one period's MSS-sequences, given as for
+    :func:`enumerated_single_group_nonprimary`, across all divisor
+    alignments."""
     cores: set[str] = set()
-    for s in enumerate_mss_structured(p):
-        for inner, _outer in factor_all(s):
+    for s in enumeration:
+        for inner, _outer in _divisor_scan(s):
             q = _single_group_form(inner)
             if q is not None and q >= 1:
                 cores.add(inner.symbols)
@@ -171,13 +178,15 @@ def enumerated_core_factors(p: int) -> set[str]:
 
 def single_group_report(p: int, verify: bool = False) -> CountReport:
     formula = count_nonprimary_single_group(p)
-    enumerated = enumerated_single_group_nonprimary(p) if verify else None
+    enumerated = (
+        enumerated_single_group_nonprimary(enumerate_mss_structured(p)) if verify else None
+    )
     return CountReport(p, "single", formula, enumerated)
 
 
 def cores_report(p: int, verify: bool = False) -> CountReport:
     formula = count_nonprimary_cores(p)
-    enumerated = len(enumerated_core_factors(p)) if verify else None
+    enumerated = len(enumerated_core_factors(enumerate_mss_structured(p))) if verify else None
     return CountReport(p, "repeated", formula, enumerated)
 
 

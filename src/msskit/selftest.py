@@ -4,6 +4,16 @@ Each suite cross-checks an independent pair of routes to the same
 answer: the structured shift-maximality test against the two direct
 tests, structured enumeration against brute force, counting formulas
 against enumeration, and composition against factoring round-trips.
+
+One :func:`run_selftest` call enumerates each period once by the
+structured generator and once by brute force, and its suites share those
+word lists.  The oracle reads route a, the direct symbol-level test, as
+membership in the brute-force enumeration, whose filter applies that
+test's kernel to every candidate; the sign-level and structured routes
+still run on every candidate.  The construction suite compares the two
+lists.  The counting and round-trip suites scan the structured words,
+which the enumerator has proved shift-maximal, without proving them
+again.
 """
 
 from __future__ import annotations
@@ -12,13 +22,18 @@ import itertools
 from dataclasses import dataclass
 
 from .composition import (
+    _divisor_scan,
     check_stem_shape,
     compose,
     factor_interleaved_core,
-    factor_once,
-    is_primary,
 )
-from .counting import blocks_report, cores_report, single_group_report
+from .counting import (
+    blocks_report,
+    count_nonprimary_cores,
+    count_nonprimary_single_group,
+    enumerated_core_factors,
+    enumerated_single_group_nonprimary,
+)
 from .errors import ShapeError
 from .generators import enumerate_mss_bruteforce, enumerate_mss_structured
 from .sequences import AdmissibleSeq, is_shift_maximal, is_shift_maximal_signs
@@ -35,18 +50,57 @@ class CheckResult:
     detail: str
 
 
+_BRUTEFORCE_READERS = ("oracle", "construction")
+
+
+class _Run:
+    """What the suites of one :func:`run_selftest` call share: its options
+    and each period's enumerations, built on first use as plain words.
+
+    Structured lists stay for the whole call.  A period's brute-force list
+    is dropped once every chosen suite that reads it has read it.
+    """
+
+    def __init__(self, pmax: int, workers: int, chosen: list[str]):
+        self.pmax = pmax
+        self.workers = workers
+        self._structured: dict[int, list[str]] = {}
+        self._bruteforce: dict[int, list[str]] = {}
+        self._reads: dict[int, int] = {}
+        self._readers = sum(name in _BRUTEFORCE_READERS for name in chosen)
+
+    def structured(self, p: int) -> list[str]:
+        if p not in self._structured:
+            self._structured[p] = enumerate_mss_structured(p).words()
+        return self._structured[p]
+
+    def sequences(self, p: int):
+        """The structured words of period p as :class:`AdmissibleSeq`."""
+        return map(AdmissibleSeq, self.structured(p))
+
+    def bruteforce(self, p: int) -> list[str]:
+        words = self._bruteforce.pop(p, None)
+        if words is None:
+            words = enumerate_mss_bruteforce(p, workers=self.workers).words()
+        self._reads[p] = self._reads.get(p, 0) + 1
+        if self._reads[p] < self._readers:
+            self._bruteforce[p] = words
+        return words
+
+
 def _all_candidates(p: int):
     for mid in itertools.product("RL", repeat=p - 2):
         yield AdmissibleSeq("R" + "".join(mid) + "C")
 
 
-def _suite_oracle(pmax: int, workers: int) -> list[CheckResult]:
+def _suite_oracle(run: _Run) -> list[CheckResult]:
     disagreements = 0
     checked = 0
-    for p in range(2, pmax + 1):
-        for seq in _all_candidates(p):  # parsed once, shared by the three routes
+    for p in range(2, run.pmax + 1):
+        mss = set(run.bruteforce(p))  # route a's verdict on every candidate
+        for seq in _all_candidates(p):  # parsed once, shared by routes b and c
             checked += 1
-            a = is_shift_maximal(seq)
+            a = seq.symbols in mss
             b = is_shift_maximal_signs(seq)
             c = is_mss_structured(seq).is_mss
             if not (a == b == c):
@@ -54,18 +108,18 @@ def _suite_oracle(pmax: int, workers: int) -> list[CheckResult]:
     return [
         CheckResult(
             "oracle",
-            f"three-route equivalence p<={pmax}",
+            f"three-route equivalence p<={run.pmax}",
             disagreements == 0,
             f"{checked} candidates, {disagreements} disagreements",
         )
     ]
 
 
-def _suite_construction(pmax: int, workers: int) -> list[CheckResult]:
+def _suite_construction(run: _Run) -> list[CheckResult]:
     out = []
-    for p in range(2, pmax + 1):
-        structured = enumerate_mss_structured(p).words()
-        brute = enumerate_mss_bruteforce(p, workers=workers).words()
+    for p in range(2, run.pmax + 1):
+        structured = run.structured(p)
+        brute = run.bruteforce(p)
         ok = structured == brute
         out.append(
             CheckResult(
@@ -78,13 +132,15 @@ def _suite_construction(pmax: int, workers: int) -> list[CheckResult]:
     return out
 
 
-def _suite_counting(pmax: int, workers: int) -> list[CheckResult]:
+def _suite_counting(run: _Run) -> list[CheckResult]:
     """Each formula against its enumeration, paired as ``count --verify`` pairs them."""
-    bad_blocks = [(m, run) for m in range(13) for run in range(7)
-                  if not blocks_report(m, run, verify=True).matches]
-    bad_single = [p for p in range(2, pmax + 1)
-                  if not single_group_report(p, verify=True).matches]
-    bad_cores = [p for p in range(4, pmax + 1) if not cores_report(p, verify=True).matches]
+    pmax = run.pmax
+    bad_blocks = [(m, max_run) for m in range(13) for max_run in range(7)
+                  if not blocks_report(m, max_run, verify=True).matches]
+    bad_single = [p for p in range(2, pmax + 1) if count_nonprimary_single_group(p)
+                  != enumerated_single_group_nonprimary(run.sequences(p))]
+    bad_cores = [p for p in range(4, pmax + 1) if count_nonprimary_cores(p)
+                 != len(enumerated_core_factors(run.sequences(p)))]
     return [
         CheckResult("counting", "block formula vs enumeration (m<=12, run<=6)",
                     not bad_blocks, f"{len(bad_blocks)} mismatches"),
@@ -95,22 +151,21 @@ def _suite_counting(pmax: int, workers: int) -> list[CheckResult]:
     ]
 
 
-def _suite_roundtrip(pmax: int, workers: int) -> list[CheckResult]:
+def _suite_roundtrip(run: _Run) -> list[CheckResult]:
     out = []
-    by_period = {p: enumerate_mss_structured(p).words() for p in range(2, 13)}
     failures = 0
     pairs = 0
     for pa, pb in itertools.product(range(2, 13), repeat=2):
         if pa * pb > 24:
             continue
-        for a in by_period[pa]:
-            for b in by_period[pb]:
+        for a in run.structured(pa):
+            for b in run.structured(pb):
                 pairs += 1
                 composed = compose(a, b)
                 if not is_shift_maximal(composed):
                     failures += 1
                     continue
-                split = factor_once(composed)
+                split = next(_divisor_scan(composed), None)  # proved just above
                 if split is None or compose(*split).symbols != composed.symbols:
                     failures += 1
     out.append(
@@ -123,20 +178,19 @@ def _suite_roundtrip(pmax: int, workers: int) -> list[CheckResult]:
     )
     shape_bad = 0
     shape_hits = 0
-    limit = min(pmax, 14)
+    limit = min(run.pmax, 14)
     for p in range(2, limit + 1):
-        for s in enumerate_mss_structured(p):
-            if check_stem_shape(s):
-                shape_hits += 1
-                if is_primary(s):
-                    shape_bad += 1
+        for s in run.sequences(p):
+            hits = check_stem_shape(s)
             try:
                 factor_interleaved_core(s)
+                hits += 1
             except ShapeError:
-                continue
-            shape_hits += 1
-            if is_primary(s):
-                shape_bad += 1
+                pass
+            if hits:
+                shape_hits += hits
+                if next(_divisor_scan(s), None) is None:  # the enumerator proved s
+                    shape_bad += hits
     out.append(
         CheckResult(
             "roundtrip",
@@ -157,12 +211,18 @@ SUITES = {
 
 
 def run_selftest(pmax: int = 14, suites=None, workers: int = 1) -> list[CheckResult]:
+    """Run the chosen suites in order: ``suites`` is one name, a list of
+    names, or None for all of :data:`SUITES`."""
     if pmax < 2:
         raise ValueError("pmax must be >= 2")
-    chosen = list(SUITES) if not suites else list(suites)
-    results = []
+    if isinstance(suites, str):
+        suites = [suites]
+    chosen = list(suites) if suites else list(SUITES)
     for name in chosen:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        results.extend(SUITES[name](pmax, workers))
+    run = _Run(pmax, workers, chosen)
+    results = []
+    for name in chosen:
+        results.extend(SUITES[name](run))
     return results

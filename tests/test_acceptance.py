@@ -139,7 +139,7 @@ def test_criterion_6_core_count_double_sum():
     bad = []
     for p in range(4, 17):
         formula = count_nonprimary_cores(p)
-        observed = len(enumerated_core_factors(p))
+        observed = len(enumerated_core_factors(enumerate_mss_structured(p)))
         if formula != observed:
             bad.append((p, formula, observed))
     report(6, not bad, f"p=4..16 under the zero-length-block convention, mismatches {bad}")

@@ -265,6 +265,31 @@ class TestSelftest:
         assert code == 0
         assert out == (DATA / "selftest_p12.txt").read_text()
 
+    @pytest.mark.parametrize("suites", [["oracle"], ["construction"], ["counting"],
+                                        ["roundtrip"], ["counting", "construction"]])
+    def test_suite_subset_golden(self, capsys, suites):
+        # Each suite prints its own golden lines whichever suites run with it.
+        golden = (DATA / "selftest_p12.txt").read_text().splitlines(keepends=True)
+        lines = [line for s in suites for line in golden if line.startswith(f"[PASS] {s}:")]
+        argv = [arg for s in suites for arg in ("--suite", s)]
+        code, out, _ = run_cli(capsys, "selftest", "--pmax", "12", *argv)
+        assert code == 0
+        assert out == "".join(lines) + f"{len(lines)}/{len(lines)} checks passed\n"
+
+    def test_worker_env_keeps_output(self, capsys, monkeypatch):
+        # Two suites read the brute force, which the pool builds from p = 8 on.
+        import multiprocessing
+
+        monkeypatch.delenv("MSSKIT_THREADS", raising=False)
+        _, a, _ = run_cli(capsys, "selftest", "--pmax", "10")
+        pools = []
+        pool = multiprocessing.Pool
+        monkeypatch.setattr(multiprocessing, "Pool", lambda n: pools.append(n) or pool(n))
+        monkeypatch.setenv("MSSKIT_THREADS", "2")
+        _, b, _ = run_cli(capsys, "selftest", "--pmax", "10")
+        assert pools == [2, 2, 2]
+        assert a == b
+
     def test_unknown_suite_rejected(self):
         from msskit.selftest import run_selftest
 

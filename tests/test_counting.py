@@ -8,6 +8,7 @@ from msskit import (
     count_nonprimary_single_group,
     divisor_set,
     enumerate_blocks,
+    enumerate_mss_structured,
     proper_divisors,
 )
 from msskit.counting import (
@@ -40,7 +41,8 @@ class TestSingleGroupCount:
 
     def test_against_enumeration(self):
         for p in range(2, 15):
-            assert count_nonprimary_single_group(p) == enumerated_single_group_nonprimary(p)
+            enumerated = enumerated_single_group_nonprimary(enumerate_mss_structured(p))
+            assert count_nonprimary_single_group(p) == enumerated
 
 
 class TestCountBlocks:
@@ -72,13 +74,14 @@ class TestCoresCount:
 
     def test_against_factored_enumeration(self):
         for p in range(4, 15):
-            assert count_nonprimary_cores(p) == len(enumerated_core_factors(p))
+            cores = enumerated_core_factors(enumerate_mss_structured(p))
+            assert count_nonprimary_cores(p) == len(cores)
 
     def test_cores_really_occur(self):
         # Every counted core is a single-group sequence observed as an inner
         # factor; spot-check the period-6 core is the expected degenerate one.
-        assert enumerated_core_factors(6) == {"RLC"}
-        assert "RLLRLC" in enumerated_core_factors(12)
+        assert enumerated_core_factors(enumerate_mss_structured(6)) == {"RLC"}
+        assert "RLLRLC" in enumerated_core_factors(enumerate_mss_structured(12))
 
 
 class TestReports:
@@ -92,6 +95,25 @@ class TestReports:
         rep = cores_report(10, verify=False)
         assert rep.enumerated_value is None
         assert rep.matches
+
+    def test_verify_proves_no_enumerated_word_again(self, monkeypatch):
+        # The enumerator proved every word it returns shift-maximal; the
+        # verify paths scan them for factors without a second proof.
+        from msskit import composition, sequences
+
+        def refuse(seq):
+            raise AssertionError(f"{seq} proved again")
+
+        monkeypatch.setattr(composition, "is_shift_maximal", refuse)
+        monkeypatch.setattr(sequences, "is_shift_maximal", refuse)
+        with pytest.raises(AssertionError):
+            composition.is_primary("RLRC")  # the patch reaches the proving route
+        for p in range(2, 13):
+            rep = single_group_report(p, verify=True)
+            assert rep.enumerated_value is not None and rep.matches, p
+        for p in range(4, 13):
+            rep = cores_report(p, verify=True)
+            assert rep.enumerated_value is not None and rep.matches, p
 
     def test_blocks_report(self):
         rep = blocks_report(4, 2, verify=True)
