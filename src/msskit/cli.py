@@ -36,7 +36,7 @@ from .counting import blocks_report, cores_report, single_group_report
 from .errors import MssKitError
 from .generators import enumerate_mss_bruteforce, enumerate_mss_structured
 from .locator import _increasing, locate, order_report
-from .selftest import run_selftest
+from .selftest import SUITES, run_selftest
 from .sequences import compress_exponents, parse_sequence
 from .structure import block_decompose, is_mss_structured
 
@@ -283,8 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="run built-in verification suites")
     p_self.add_argument("--pmax", type=int, default=14)
-    p_self.add_argument("--suite", action="append",
-                        choices=["oracle", "construction", "counting", "roundtrip"])
+    p_self.add_argument("--suite", action="append", choices=list(SUITES))
     p_self.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -44,19 +44,23 @@ decided each step.  In practice mpmath runs once per call, on the step
 that ends the search.
 
 Ahead of the three stages sits a root enclosure (interval Newton, after
-R. E. Moore, *Interval Analysis*, 1966).  Most float steps match the
-whole prefix and are decided by the sign of the closing gap G(r) =
-f_r^p(1/2) - 1/2 alone.  After the first such step the float bracket is
-certified once, from one float orbit at its centre that carries bounds
-over the whole bracket: the prefix matches for every parameter in it,
-dG/dr keeps one sign, and two checked points a < b near the Newton root
-have |G| above tol plus the mpmath orbit's rounding error.  G being
-monotone, every later midpoint below a (above b), float or mpf, is a
-step the mpmath probe would take, with a gap beyond tol and the sign it
-has at a (at b); it is decided by that one comparison.
-Midpoints inside (a, b) go through the three stages, and mpmath alone
-still ends the search, so no result can change.  The enclosure is built
-from each call's own bracket and only where the float stage runs.
+R. E. Moore, *Interval Analysis*, 1966).  Once the whole prefix has
+matched at both ends of the bracket, the steps left are decided by the
+sign of the closing gap G(r) = f_r^p(1/2) - 1/2 alone.  The bracket is
+then certified from one fixed-point orbit at its centre, in the fixed
+stage's integers, that carries bounds over the whole bracket: the
+prefix matches for every parameter in it, with the mpmath orbit within
+E_i of the exact one, and dG/dr keeps one sign inside a known range.
+Newton steps find a point near the root, and that range turns the gap
+there into points a < b with |G| above tol plus E_p at and beyond them.
+G being monotone, every later midpoint below a (above b), float or mpf,
+is a step the mpmath probe would take, with a gap beyond tol and the
+sign it has at a (at b); it is decided by one comparison.  Midpoints
+inside (a, b) go through the three stages, and mpmath alone still ends
+the search, so no result can change.  The enclosure is built from each
+call's own bracket, at every precision and period; after a failed
+attempt it waits as many halvings as the failing bound's ratio to its
+room asks for.
 Located parameters are reported as mpmath floats; cast with float() for
 display.
 """
@@ -71,12 +75,12 @@ from typing import Optional, Union
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import (
-    fhalf, fone, from_float, mpf_abs, mpf_add, mpf_le, mpf_lt, mpf_mul, mpf_shift, mpf_sub,
-    round_nearest, to_fixed, to_float,
+    fhalf, fone, from_float, from_man_exp, mpf_abs, mpf_add, mpf_le, mpf_lt, mpf_mul, mpf_shift,
+    mpf_sub, round_ceiling, round_floor, round_nearest, to_fixed, to_float,
 )
 
 from .errors import LocateError, NotMssError
-from .sequences import SeqLike, as_sequence, is_shift_maximal, sign_sequence
+from .sequences import SeqLike, as_sequence, expand_exponents, is_shift_maximal, sign_sequence
 
 __all__ = [
     "MapParam",
@@ -101,7 +105,6 @@ _FLOAT_WIDTH = 2.0**-48
 _STEP_ROUNDING = 2.0**-50
 _BOUND_INFLATION = 1 + 2.0**-20
 _COMPARE_SLACK = 2.0**-52
-_NEWTON_STEPS = 8  # from the bracket centre towards the root enclosure's a and b
 
 # Fixed-point stage, in units of 2^-P with P = working precision - 4, so
 # that one mpmath step r*x*(1-x) errs by under one unit (see _probe_fixed).
@@ -109,6 +112,13 @@ _NEWTON_STEPS = 8  # from the bracket centre towards the root enclosure's a and 
 # the mpmath difference x - 1/2.
 _FIXED_GUARD_BITS = 4
 _FIXED_SLACK = 2
+
+# Root enclosure.  Newton steps run from the bracket centre towards the
+# root.  The first attempt waits two halvings past the first bracket whose
+# ends both match the prefix: earlier attempts mostly fail the slope bound
+# by one to three halvings.
+_NEWTON_STEPS = 8
+_FIRST_WAIT = 2
 
 
 @dataclass(frozen=True)
@@ -250,91 +260,10 @@ def _probe_float(r: float, prefix: str, signs: tuple, eps: float, tol: float):
     return (signs[-1] if gap > 0 else -signs[-1]), True
 
 
-def _gap_slope(r: float, steps: int):
-    """Float G(r) = f_r^steps(1/2) - 1/2 and dG/dr, for Newton steps."""
-    x, dx = 0.5, 0.0
-    for _ in range(steps):
-        dx = x * (1 - x) + r * (1 - 2 * x) * dx
-        x = r * x * (1 - x)
-    return x - 0.5, dx
-
-
-def _certify(lo: float, hi: float, prefix: str, signs: tuple, eps: float, tol: float,
-             mpf_step: float):
-    """Certify the sign of the closing gap outside a small interval of [lo, hi].
-
-    G(r) = f_r^p(1/2) - 1/2, and ``mpf_step`` bounds the rounding of one
-    mpf step r*x*(1-x).  One float orbit at the centre c carries three
-    bounds over every r in the bracket, of half-width h: ``rho`` on the
-    distance from the exact and the mpf orbit at r to the float one at c
-    (:func:`_probe_float`'s recurrence plus h x (1-x) and the mpf
-    rounding per step), ``emp`` on the mpf orbit's distance from the
-    exact one, and ``drad`` on the distance from dx_j/dr at r to its
-    float value ``dx`` at c.  When every prefix comparison clears its
-    threshold by 2 * rho + 2^-52, the whole bracket matches the prefix;
-    when |dx| > drad at step p, G is monotone on it with slope sign s.
-    Newton steps from c then give points a < b, and :func:`_probe_float`
-    with ``tol`` raised by ``emp`` and one more step's rounding proves
-    s G(a) < -(tol + emp + mpf_step) and s G(b) > tol + emp + mpf_step.
-    So at every midpoint m <= a (m >= b) the mpf probe matches the
-    prefix and reads a gap beyond ``tol`` with the sign it has at a
-    (at b), and the step goes as :func:`_probe_float` decided at a (b).
-
-    Returns (a, b, verdict at a, verdict at b), or None when a bound or
-    check fails.
-    """
-    c = (lo + hi) / 2
-    h = (hi - lo) / 2
-    x, rho, err, emp, dx, drad = 0.5, 0.0, 0.0, 0.0, 0.0, 0.0
-    for i in range(len(prefix) + 1):
-        u = 1 - 2 * x
-        au = abs(u)
-        g = x * (1 - x)
-        # |r u x' - c u_c dx| <= h |u| |x'| + c (|u - u_c| |x'| + |u_c| drad)
-        deriv = abs(dx) + drad
-        drad = (rho * (au + rho) + h * (au + 2 * rho) * deriv + c * (2 * rho * deriv + au * drad)
-                + _STEP_ROUNDING * (g + hi * abs(dx))) * _BOUND_INFLATION
-        dx = g + c * u * dx
-        emp = (hi * (au + 2 * rho) * emp + mpf_step) * _BOUND_INFLATION
-        err = (c * (au + err) * err + _STEP_ROUNDING) * _BOUND_INFLATION
-        rho = (hi * (au + rho) * rho + h * g + _STEP_ROUNDING + mpf_step) * _BOUND_INFLATION
-        x = c * x * (1 - x)
-        if i < len(prefix):
-            d = x - 0.5
-            if not abs(d) - eps > 2 * rho + _COMPARE_SLACK or (d > 0) != (prefix[i] == "R"):
-                return None
-    if not abs(dx) > drad:
-        return None
-    s = 1 if dx > 0 else -1
-    margin = tol + emp + mpf_step
-    spread = 2 * (margin + 2 * err + _COMPARE_SLACK) / (abs(dx) - drad)
-    root, gap = c, x - 0.5
-    for _ in range(_NEWTON_STEPS):
-        step = gap / dx
-        root -= step
-        if abs(step) <= spread:
-            break
-        if not lo <= root <= hi:
-            return None
-        gap, dx = _gap_slope(root, len(prefix) + 1)
-        if not s * dx > 0:  # rounding has swamped the slope
-            return None
-    a, b = max(root - spread, lo), min(root + spread, hi)
-    if not a < b:
-        return None
-    below = _probe_float(a, prefix, signs, eps, margin)
-    above = _probe_float(b, prefix, signs, eps, margin)
-    if below != (-s * signs[-1], True) or above != (s * signs[-1], True):
-        return None
-    return a, b, below[0], above[0]
-
-
-def _replay(cert: tuple, mid) -> Optional[int]:
-    """The certified verdict at a float or raw mpf midpoint, or None inside (a, b)."""
-    a, b, below, above = cert
-    # rounding to a float is monotone, so m < a implies mid < a, and m > b mid > b
-    m = mid if isinstance(mid, float) else to_float(mid, rnd=round_nearest)
-    return below if m < a else above if m > b else None
+def _grid(v, bits: int) -> Optional[int]:
+    """v 2^bits for a float, mpf or raw mpf ``v`` >= 0 on the 2^-bits grid, else None."""
+    _, man, exp, _ = from_float(v) if isinstance(v, float) else getattr(v, "_mpf_", v)
+    return man << (exp + bits) if exp + bits >= 0 else None  # man is odd: off the grid
 
 
 def _probe_fixed(mid, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fix: int):
@@ -354,16 +283,15 @@ def _probe_fixed(mid, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fi
     - the floor adds under one unit per step, and the mpmath step, three
       roundings of values at most 4, under 9 * 2^-prec < one unit.
 
-    A step is decided only when every comparison clears its floored
-    threshold by 2 E_i + ``_FIXED_SLACK``; otherwise, when the midpoint is
-    off the grid, and whenever the closing residual may be below ``tol``
-    (only the mpf path ends the search), returns None.
+    Returns (verdict, matched) as :func:`_probe_float` does.  A step is
+    decided only when every comparison clears its floored threshold by
+    2 E_i + ``_FIXED_SLACK``; otherwise, when the midpoint is off the
+    grid, and whenever the closing residual may be below ``tol`` (only
+    the mpf path ends the search), the verdict is None.
     """
-    raw = from_float(mid) if isinstance(mid, float) else getattr(mid, "_mpf_", mid)
-    _, man, exp, _ = raw
-    if exp + bits < 0:  # man is odd, so mid is off the grid
-        return None
-    r_fix = man << (exp + bits)
+    r_fix = _grid(mid, bits)
+    if r_fix is None:
+        return None, False
     one = 1 << bits
     half = one >> 1
     shift = 2 * bits
@@ -375,17 +303,142 @@ def _probe_fixed(mid, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fi
         d = x - half
         dist = abs(d)
         if abs(dist - eps_fix) <= 2 * err + _FIXED_SLACK:
-            return None
+            return None, False
         if dist <= eps_fix:
-            return _BELOW
+            return _BELOW, False
         got = "R" if d > 0 else "L"
         if got != want:
-            return -signs[i]
+            return -signs[i], False
     err = 4 * err + 1
     gap = (r_fix * x * (one - x) >> shift) - half
     if abs(gap) - tol_fix <= 2 * err + _FIXED_SLACK:
-        return None
-    return signs[-1] if gap > 0 else -signs[-1]
+        return None, True
+    return (signs[-1] if gap > 0 else -signs[-1]), True
+
+
+def _gap_slope(r_fix: int, steps: int, bits: int):
+    """Integer G(r) = f_r^steps(1/2) - 1/2 and dG/dr at r = r_fix 2^-bits, for Newton steps."""
+    one = 1 << bits
+    shift = 2 * bits
+    x, dx = one >> 1, 0
+    for _ in range(steps):
+        g = x * (one - x)
+        dx = (g << bits) + r_fix * (one - 2 * x) * dx >> shift
+        x = r_fix * g >> shift
+    return x - (one >> 1), dx
+
+
+def _halvings(needed: int, allowed: int):
+    """Bracket halvings before a bound ``needed`` that scales with the width fits ``allowed``.
+
+    inf when nothing is allowed: the shortfall is then not the bracket's.
+    """
+    return (needed // allowed).bit_length() if allowed > 0 else math.inf
+
+
+def _certify(lo, hi, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fix: int):
+    """Certify the sign of the closing gap outside a small interval of [lo, hi].
+
+    G(r) = f_r^p(1/2) - 1/2.  One integer orbit X at the grid point c
+    nearest the centre of the bracket carries, in :func:`_probe_fixed`'s
+    units of 2^-bits, bounds over every r in it (|r - c| <= h): ``w`` on
+    the distance from the exact orbit x_r at r to X, which grows per
+    step by h x(1-x), plus c |1 - x_r - X| times itself, plus the floor;
+    the static E_i on the distance from the mpf orbit at r to x_r; and
+    ``dr`` on the distance from the exact dx_r/dr to its integer value
+    ``dx`` at c.  When every prefix comparison clears its threshold by
+    w + E_i + ``_FIXED_SLACK``, the mpf probe matches the whole prefix
+    throughout the bracket; when |dx| > dr at step p, G is monotone on
+    it with slope sign s and |dG/dr| in [|dx| - dr, |dx| + dr].  Newton
+    steps from c then find a point t near the root, whose integer orbit
+    puts G(t) within E_p of its gap, and that slope range gives grid
+    points a < b (one interval Newton step) with s G < -(tol + E_p +
+    slack) at and below a and s G > tol + E_p + slack at and above b.
+    So at every midpoint m <= a (m >= b) the mpf probe matches the
+    prefix and reads a gap beyond ``tol`` with the sign it has at a
+    (at b), and the step is decided.
+
+    Returns (certificate, halvings).  The certificate is (a, b, a and b
+    as floats rounded outwards, verdict at or below a, verdict at or
+    above b, bits), or None when a bound fails.  ``halvings`` is how
+    many bracket halvings to wait before the next attempt can do
+    better: the failing bound's ratio to its room, or inf once t is as
+    close to the root as E_p lets the gap tell.
+    """
+    lo_fix, hi_fix = _grid(lo, bits), _grid(hi, bits)
+    if lo_fix is None or hi_fix is None:  # no later bracket is back on the grid
+        return None, math.inf
+    c = (lo_fix + hi_fix) >> 1
+    h = hi_fix - c
+    one = 1 << bits
+    half = one >> 1
+    shift = 2 * bits
+    x, e, w, dx, dr = half, 0, 0, 0, 0
+    wait = 0
+    hc2 = 2 * (h + c)
+    for i in range(len(prefix) + 1):
+        u = one - 2 * x
+        au = abs(u)
+        g = x * (one - x)
+        q = w * (au + w)  # |x_r (1 - x_r) - X (1 - X)| <= q, as |1 - x_r - X| <= |u| + w
+        cu = c * u
+        # |r u_r x_r' - c u dx| <= h |u_r| |x_r'| + 2 c w |x_r'| + c |u| dr, |u_r| <= |u| + 2 w
+        dr = ((q << bits) + (h * au + w * hc2) * (abs(dx) + dr) + abs(cu) * dr >> shift) + 2
+        dx = (g << bits) + cu * dx >> shift
+        # |r x_r (1 - x_r) - c X (1 - X)| <= h (X (1 - X) + q) + c q, plus the floor of X
+        w = (h * (g + q) + c * q >> shift) + 2
+        e = 4 * e + 1
+        x = c * g >> shift
+        if i < len(prefix):
+            d = x - half
+            if (d > 0) != (prefix[i] == "R"):
+                return None, 1
+            room = abs(d) - eps_fix - e - _FIXED_SLACK
+            if room <= w:
+                wait = max(wait, _halvings(w, room))
+    slope = abs(dx)
+    if slope <= dr:
+        wait = max(wait, _halvings(dr, slope))
+    if wait:
+        return None, wait
+    s = 1 if dx > 0 else -1
+    # G(t) is within e of the integer gap at t and the mpf gap within e of G
+    margin = tol_fix + 2 * e + _FIXED_SLACK
+    t, gap = c, x - half
+    wait = 1
+    for _ in range(_NEWTON_STEPS):
+        if abs(gap) <= margin:  # as close to the root as E_p lets the gap tell
+            wait = math.inf
+            break
+        t -= gap * one // dx
+        if not lo_fix <= t <= hi_fix:
+            return None, 1
+        gap, dx = _gap_slope(t, len(prefix) + 1, bits)
+        if s * dx <= 0:  # rounding has swamped the slope
+            return None, 1
+    # past these offsets from t the slope bounds take s G below
+    # -(tol + e + slack) (at a) and above tol + e + slack (at b)
+    k = s * gap + margin
+    a = t - k * one // (slope - dr if k > 0 else slope + dr) - 1
+    k = margin - s * gap
+    b = t + k * one // (slope - dr if k > 0 else slope + dr) + 1
+    if a <= lo_fix and b >= hi_fix:
+        return None, wait
+    # float copies of a and b, rounded outwards, for the float stage's midpoints
+    a_float = to_float(from_man_exp(a, -bits), rnd=round_floor)
+    b_float = to_float(from_man_exp(b, -bits), rnd=round_ceiling)
+    return (a, b, a_float, b_float, -s * signs[-1], s * signs[-1], bits), wait
+
+
+def _replay(cert: tuple, mid) -> Optional[int]:
+    """The certified verdict at a float or raw mpf midpoint, or None inside (a, b)."""
+    a, b, a_float, b_float, below, above, bits = cert
+    if isinstance(mid, float):
+        return below if mid < a_float else above if mid >= b_float else None
+    _, man, exp, _ = mid
+    shift = exp + bits
+    m = man << shift if shift >= 0 else man >> -shift  # floor(mid 2^bits)
+    return below if m < a else above if m >= b else None
 
 
 class _Contexts(threading.local):
@@ -434,10 +487,11 @@ def locate(
     certainly give the same verdict, and only the mpmath probe ends the
     search, so the result is the all-mpmath bisection's whichever stage
     decides a step.  All three steer by the target's sign sequence.
-    Where the float stage runs, a root enclosure certified once per call
-    decides, by one comparison, each later midpoint outside an interval
-    (a, b) around the root; it does so only where it proves the mpmath
-    probe's verdict, so it cannot change a result either.
+    Once the prefix has matched at both ends of the bracket, a root
+    enclosure certified in the fixed-point stage's integers decides, by
+    one comparison, each later midpoint outside an interval (a, b) around
+    the root; it does so only where it proves the mpmath probe's verdict,
+    so it cannot change a result either.
     The mpmath stage works on raw libmp values with the calls, precision
     and rounding of mpf objects, so its bits cannot differ from theirs.
     A converged parameter is confirmed by an independent :func:`itinerary`
@@ -451,9 +505,10 @@ def locate(
         raise ValueError(f"dps must be >= 1, got {dps!r}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
-    text = seq.symbols if not isinstance(seq, str) else seq
-    if text == "C":
-        return LocatedSequence("C", mpf(2), 0.0, 0)
+    if isinstance(seq, str):
+        seq = expand_exponents(seq)  # so that "C^1" is the period-1 word too
+        if seq == "C":
+            return LocatedSequence("C", mpf(2), 0.0, 0)
     s = as_sequence(seq)
     if not s.symbols.startswith("R") or not is_shift_maximal(s):
         raise NotMssError(f"{s} is not an MSS-sequence")
@@ -474,26 +529,29 @@ def locate(
     # float64 until the bracket is narrower than 2^-48, then raw mpf; below
     # 53 bits the float stage's bound does not cover the mpf orbit
     lo, hi = (3.0, 4.0) if prec >= 53 else (ctx.mpf(3)._mpf_, ctx.mpf(4)._mpf_)
-    # one mpf step r*x*(1-x) rounds by < 4 * 2^-prec; the cap keeps the bound a normal float
-    mpf_step = 2.0 ** (2 - min(prec, 1000))
-    cert = None  # (a, b, verdict at or below a, verdict at or above b) once certified
+    cert = None  # the root enclosure of _certify, once one is granted
+    retry = 0  # the first step at which a certificate may be attempted (again)
+    lo_matched = hi_matched = False  # whether the orbit at lo (hi) matched the whole prefix
     for iteration in range(1, max_iter + 1):
         floating = isinstance(lo, float)
         if floating:
             mid = (lo + hi) / 2
         else:  # halving the rounded sum is exact, as mpf division by 2 is
             mid = mpf_shift(mpf_add(lo, hi, prec, round_nearest), -1)
-        verdict = matched = None
+        verdict = None
+        matched = False  # whether the orbit at mid matches the whole prefix
         if cert is not None:
             verdict = _replay(cert, mid)
+            matched = verdict is not None
         if verdict is None and floating:
             verdict, matched = _probe_float(mid, prefix, signs, eps, tol)
         if verdict is None:
-            verdict = _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)
+            verdict, matched = _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)
         if verdict is None:
             r = ctx.mpf(mid)._mpf_ if floating else mid
             verdict, gap = _probe(r, prefix, signs, eps_mp, prec)
             if verdict == _MATCHED:
+                matched = True
                 dist = mpf_abs(gap, prec, round_nearest)
                 if mpf_lt(dist, tol_mp):
                     r_star = ctx.make_mpf(r)
@@ -510,11 +568,15 @@ def locate(
                 # steer by the symbol the orbit would print at step p (gap != 0)
                 verdict = -signs[-1] if gap[0] else signs[-1]
         if verdict == _BELOW:
-            lo = mid
+            lo, lo_matched = mid, matched
         else:
-            hi = mid
-        if matched and cert is None:
-            cert = _certify(lo, hi, prefix, signs, eps, tol, mpf_step)
+            hi, hi_matched = mid, matched
+        if not (lo_matched and hi_matched):
+            retry = iteration + 1 + _FIRST_WAIT  # halvings past the step at which both match
+        elif iteration >= retry:
+            found, wait = _certify(lo, hi, prefix, signs, bits, eps_fix, tol_fix)
+            cert = found or cert  # a certificate stays valid on every later bracket
+            retry = iteration + wait
         if floating and hi - lo < _FLOAT_WIDTH:
             lo, hi = ctx.mpf(lo)._mpf_, ctx.mpf(hi)._mpf_
     raise LocateError(f"{s}: no convergence within {max_iter} bisection steps")

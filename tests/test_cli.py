@@ -219,6 +219,12 @@ class TestLocateVerbs:
         code, out, _ = run_cli(capsys, "locate", "C")
         assert json.loads(out)["r_star"] == 2.0
 
+    def test_locate_degenerate_in_run_notation(self, capsys):
+        # C^1 is the period-1 word C, parsed before the shortcut takes it.
+        expected = run_cli(capsys, "locate", "C")
+        assert run_cli(capsys, "locate", "C^1") == expected
+        assert expected[0] == 0
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -275,6 +281,16 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest", "--pmax", "12", *argv)
         assert code == 0
         assert out == "".join(lines) + f"{len(lines)}/{len(lines)} checks passed\n"
+
+    def test_suite_choices_are_the_library_suites(self, capsys):
+        from msskit import cli, selftest
+
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "verb")
+        suite = next(a for a in sub.choices["selftest"]._actions if a.dest == "suite")
+        assert suite.choices == list(selftest.SUITES)
+        with pytest.raises(SystemExit):
+            main(["selftest", "--help"])
+        assert "--suite {oracle,construction,counting,roundtrip}" in capsys.readouterr().out
 
     def test_worker_env_keeps_output(self, capsys, monkeypatch):
         # Two suites read the brute force, which the pool builds from p = 8 on.

@@ -11,7 +11,9 @@ import mpmath
 import pytest
 from mpmath import mpf
 from mpmath.ctx_mp_python import _mpf
-from mpmath.libmp import from_float, mpf_abs, mpf_lt
+from mpmath.libmp import (
+    from_float, from_man_exp, mpf_abs, mpf_lt, mpf_pos, round_nearest, to_fixed,
+)
 
 from msskit import (
     LocateError,
@@ -143,6 +145,9 @@ class TestLocate:
         found = locate("C")
         assert float(found.r_star) == 2.0
         assert found.residual == 0.0
+
+    def test_degenerate_period_one_in_run_notation(self):
+        assert _as_tuple(locate("C^1")) == _as_tuple(locate("C")) == ("C", 2, 0.0, 0)
 
     def test_rc_closed_form(self):
         found = locate("RC")
@@ -357,7 +362,7 @@ class TestFixedStage:
             def probe(steps):
                 # offsets on the 2^-bits grid, so no answer is lost to rounding
                 mid = r_star + steps * unit
-                return _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)
+                return _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)[0]
 
             near = round(1e-30 / unit)
             assert near >= 1
@@ -385,11 +390,11 @@ class TestFixedStage:
         closest, gap = min(dists[:-1]), dists[-1]
         eps_fix = math.floor(Fraction(1e-12) * 2**bits)
         tol_fix = math.floor(Fraction(1e-13) * 2**bits)
-        assert _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix) is not None
-        assert _probe_fixed(mid, prefix, signs, bits, eps_fix, gap // 2) is not None
+        assert _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)[0] is not None
+        assert _probe_fixed(mid, prefix, signs, bits, eps_fix, gap // 2)[0] is not None
         for units in (1, 5):
-            assert _probe_fixed(mid, prefix, signs, bits, closest - units, tol_fix) is None
-            assert _probe_fixed(mid, prefix, signs, bits, eps_fix, gap - units) is None
+            assert _probe_fixed(mid, prefix, signs, bits, closest - units, tol_fix)[0] is None
+            assert _probe_fixed(mid, prefix, signs, bits, eps_fix, gap - units)[0] is None
 
     def test_margin_is_twice_the_static_bound(self):
         # Either orbit may be E_i = (4^i - 1)/3 units from the exact one
@@ -410,7 +415,7 @@ class TestFixedStage:
         tol_fix = math.floor(Fraction(1e-13) * 2**bits)
 
         def probe(eps_fix, tol_fix):
-            return _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)
+            return _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)[0]
 
         bound = [(4**i - 1) // 3 for i in range(1, len(word) + 1)]
         k = min(range(len(prefix)), key=dists.__getitem__)
@@ -489,17 +494,53 @@ class TestFixedStage:
 def mpf_step_agrees(verdict, mid, prefix, eps, tol, prec):
     """True when the mpf probe at ``mid`` (a float or raw mpf) takes the
     certified step: it matches the whole prefix and reads a closing gap of
-    at least ``tol`` whose steering verdict is ``verdict``."""
+    at least ``tol`` whose steering verdict is ``verdict``.  ``eps`` and
+    ``tol`` are rounded to ``prec`` bits, as the locating context does."""
     signs = sign_sequence(prefix + "R")
     r = from_float(mid) if isinstance(mid, float) else mid
-    got, gap = _probe(r, prefix, signs, from_float(eps), prec)
-    if got != _MATCHED or mpf_lt(mpf_abs(gap), from_float(tol)):
+    eps_mp, tol_mp = (mpf_pos(from_float(v), prec, round_nearest) for v in (eps, tol))
+    got, gap = _probe(r, prefix, signs, eps_mp, prec)
+    if got != _MATCHED or mpf_lt(mpf_abs(gap), tol_mp):
         return False
     return verdict == (-signs[-1] if gap[0] else signs[-1])
 
 
 def period_words(pmax):
     return [w for p in range(2, pmax + 1) for w in enumerate_mss_structured(p).words()]
+
+
+def fixed_thresholds(eps, tol, bits):
+    """``locate``'s eps_fix and tol_fix at a working precision of bits + 4."""
+    return tuple(to_fixed(mpf_pos(from_float(v), bits + 4, round_nearest), bits)
+                 for v in (eps, tol))
+
+
+def exact_gap(r_fix, bits, steps):
+    """f_r^steps(1/2) - 1/2 at r = r_fix 2^-bits in units of 2^-bits, at over four times the bits."""
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.prec = 4 * bits + 8 * steps
+    r, x = ctx.mpf(r_fix) / 2**bits, ctx.mpf(0.5)
+    for _ in range(steps):
+        x = r * x * (1 - x)
+    return (x - 0.5) * 2**bits
+
+
+def granted_certificates(monkeypatch, words):
+    """Locate ``words`` and return the arguments of every granted certificate."""
+    certify = locator._certify
+    calls = []
+
+    def recorded(*args):
+        found = certify(*args)
+        if found[0] is not None:
+            calls.append(args)
+        return found
+
+    monkeypatch.setattr(locator, "_certify", recorded)
+    for word in words:
+        locate(word)
+    monkeypatch.undo()
+    return calls
 
 
 class TestRootEnclosure:
@@ -509,7 +550,8 @@ class TestRootEnclosure:
     def replayed_steps(monkeypatch, words, **kwargs):
         """Locate ``words``, re-deciding each replayed step with the mpf probe.
 
-        Returns (replayed step count, the steps the mpf probe decides otherwise).
+        Returns (the word of each replayed step, the steps the mpf probe
+        decides otherwise).
         """
         tol, eps = kwargs.get("tol", 1e-13), kwargs.get("eps", 1e-12)
         replay = locator._replay
@@ -534,94 +576,176 @@ class TestRootEnclosure:
                 locate(word, **kwargs)
             except LocateError:  # 18 digits cannot resolve the longest words
                 pass
-        return len(replayed), wrong
+        return replayed, wrong
 
-    @pytest.mark.parametrize("kwargs", [{}, {"dps": 18}])
+    @pytest.mark.parametrize("kwargs", [{}, {"dps": 18}, {"dps": 9, "tol": 1e-9, "eps": 1e-9}])
     def test_replayed_steps_are_mpf_steps(self, monkeypatch, kwargs):
+        # Float and mpf midpoints alike, at every period: the certificate
+        # runs in the fixed-point stage's integers, so long words and
+        # precisions below 53 bits have one too.
         words = [row.sequence for row in order_report(10)]
         words += [extremal(p) for p in range(14, 61)]
         words += random_mss_words(seed=20261019, count=40, pmin=4, pmax=40)
         replayed, wrong = self.replayed_steps(monkeypatch, words, **kwargs)
         assert wrong == []
-        assert replayed > 4500
+        assert len(replayed) > {None: 7000, 18: 4500, 9: 700}[kwargs.get("dps")]
+        if not kwargs:
+            assert sum(len(word) >= 37 for word in replayed) > 900
 
     @pytest.mark.parametrize("bits", [None, 40])
     def test_certificate_holds_across_the_bracket(self, monkeypatch, bits):
         # Every parameter of a certified bracket outside (a, b) is decided as
         # certified, not only the midpoints a search visits: at the locating
-        # precision, and at 40 bits for a certificate built for 40-bit
-        # rounding, where the mpf orbit is far coarser than the float one.
-        certify = locator._certify
-        calls = []
-
-        def recorded(*args):
-            cert = certify(*args)
-            if cert is not None:
-                calls.append(args)
-            return cert
-
-        monkeypatch.setattr(locator, "_certify", recorded)
-        words = period_words(10)
-        for word in words:
-            locate(word)
+        # precision, and at 40 bits (a working precision of 44), where the
+        # static bound E_i takes a large share of every margin.
+        words = period_words(10) + [extremal(p) for p in range(14, 41, 2)]
+        calls = granted_certificates(monkeypatch, words)
         assert len(calls) == len(words)
         checked = 0
-        for lo, hi, prefix, signs, eps, tol, mpf_step in calls:
-            prec = bits or 2 - round(math.log2(mpf_step))
-            cert = certify(lo, hi, prefix, signs, eps, tol, 2.0 ** (2 - prec))
+        for lo, hi, prefix, signs, locating_bits, eps_fix, tol_fix in calls:
+            if bits:
+                eps_fix, tol_fix = fixed_thresholds(1e-12, 1e-13, bits)
+            grid = bits or locating_bits
+            cert, _ = locator._certify(lo, hi, prefix, signs, grid, eps_fix, tol_fix)
             if cert is None:
                 continue
-            a, b, below, above = cert
-            points = {lo: below, a: below, b: above, hi: above}
-            for k in range(1, 9):
-                points[lo + (a - lo) * k / 9] = below
-                points[b + (hi - b) * k / 9] = above
-                points[a - k * math.ulp(a)] = below
-                points[b + k * math.ulp(b)] = above
-            for m, verdict in points.items():
-                if lo <= m <= hi:
-                    checked += 1
-                    assert mpf_step_agrees(verdict, m, prefix, eps, tol, prec), (prefix, m)
+            checked += self.check_points(cert, lo, hi, prefix, 1e-12, 1e-13)
         assert checked > 30 * len(words)
+
+    @staticmethod
+    def check_points(cert, lo, hi, prefix, eps, tol):
+        """Re-decide grid points of [lo, a] and [b, hi] with the mpf probe."""
+        a, b, _, _, below, above, bits = cert
+        lo_fix, hi_fix = locator._grid(lo, bits), locator._grid(hi, bits)
+        below_a = {lo_fix, *(lo_fix + (a - lo_fix) * k // 9 for k in range(9))}
+        below_a.update(a - k for k in range(1, 10))
+        above_b = {hi_fix, *(b + (hi_fix - b) * k // 9 for k in range(9))}
+        above_b.update(b + k for k in range(9))
+        points = [(m, below) for m in below_a if m < a] + [(m, above) for m in above_b if m >= b]
+        checked = 0
+        for m, verdict in points:
+            if lo_fix <= m <= hi_fix:
+                checked += 1
+                raw = from_man_exp(m, -bits)
+                assert mpf_step_agrees(verdict, raw, prefix, eps, tol, bits + 4), (prefix, m)
+        return checked
+
+    def test_certificate_holds_near_the_dead_band(self):
+        # With eps just below the orbit's closest approach to 1/2 at r*, the
+        # dead band begins a short way from r*: brackets reaching into it
+        # must be refused, and every certificate granted nearby must hold.
+        checked = granted = 0
+        for word in ("RLC", "RLLRLC", "RLRRRLRC", extremal(12), "RLRRRRRRLRLRRRC"):
+            found = locate(word)
+            ctx = mpmath.ctx_mp.MPContext()
+            ctx.dps = default_dps(len(word))
+            bits = ctx.prec - 4
+            x, half, dists = ctx.mpf(0.5), ctx.mpf(0.5), []
+            for _ in word[:-1]:
+                x = found.r_star * x * (1 - x)
+                dists.append(abs(x - half))
+            prefix, signs = word[:-1], sign_sequence(word[:-1] + "R")
+            r_fix = int(found.r_star * 2**bits)
+            for shrink in (1e-2, 1e-5, 1e-8):
+                eps = float(min(dists) * (1 - shrink))
+                eps_fix, tol_fix = fixed_thresholds(eps, 1e-13, bits)
+                for j in range(12, 2 * len(word) + 40, 2):
+                    for offset in (-2, 0, 1):
+                        h = 1 << (bits - j)
+                        lo, hi = r_fix + (offset - 4) * h // 4, r_fix + (offset + 4) * h // 4
+                        lo_raw, hi_raw = from_man_exp(lo, -bits), from_man_exp(hi, -bits)
+                        cert, _ = locator._certify(lo_raw, hi_raw, prefix, signs, bits,
+                                                   eps_fix, tol_fix)
+                        if cert is not None:
+                            granted += 1
+                            checked += self.check_points(cert, lo_raw, hi_raw, prefix, eps, 1e-13)
+        assert granted > 50
+        assert checked > 1000
+
+    @pytest.mark.parametrize("bits", [None, 40])
+    def test_certificate_survives_the_worst_orbit_error(self, monkeypatch, bits):
+        # The integer orbit at the Newton point may sit up to E_p units from
+        # the exact one, either way.  With its gap replaced by the exact one
+        # moved that far, the certificate must still keep the exact |G|
+        # above tol + E_p + slack at and beyond a and b, with the certified
+        # signs, so that the mpf orbit, itself within E_p, reads a gap
+        # beyond tol there.  At 40 bits E_p outweighs tol.
+        words = period_words(9) + random_mss_words(seed=7, count=30, pmin=10, pmax=40)
+        calls = granted_certificates(monkeypatch, words)
+        gap_slope = locator._gap_slope
+        checked = 0
+        for shift in (-1, 1):
+            def shifted(r_fix, steps, grid):
+                _, dx = gap_slope(r_fix, steps, grid)
+                worst = int(mpmath.floor(exact_gap(r_fix, grid, steps))) + shift * (4**steps - 4) // 3
+                return worst, dx
+
+            monkeypatch.setattr(locator, "_gap_slope", shifted)
+            for lo, hi, prefix, signs, grid, eps_fix, tol_fix in calls:
+                if bits:
+                    grid = bits
+                    eps_fix, tol_fix = fixed_thresholds(1e-12, 1e-13, bits)
+                cert, _ = locator._certify(lo, hi, prefix, signs, grid, eps_fix, tol_fix)
+                if cert is None:
+                    continue
+                a, b, _, _, below, _, _ = cert
+                s = -below * signs[-1]  # the sign of dG/dr on the bracket
+                need = tol_fix + (4 ** len(signs) - 1) // 3 + locator._FIXED_SLACK
+                lo_fix, hi_fix = locator._grid(lo, grid), locator._grid(hi, grid)
+                for m, side in ((lo_fix, -1), (a - 1, -1), (b, 1), (hi_fix, 1)):
+                    if lo_fix <= m <= hi_fix and (m < a if side < 0 else m >= b):
+                        assert side * s * exact_gap(m, grid, len(signs)) > need, (prefix, m)
+                        checked += 1
+        assert checked > 4 * len(words)
 
     def test_refuses_a_bracket_where_the_gap_turns(self):
         # For RC, G(r) = r^2/4 - r^3/16 - 1/2 peaks at r = 8/3: on [2.6, 3.6]
         # every parameter reads R at step 1, but G is not monotone.
-        args = ("R", sign_sequence("RR"), 1e-12, 1e-13, 2.0**-101)
-        assert locator._certify(2.6, 3.6, *args) is None
-        a, b, below, above = locator._certify(3.2, 3.27, *args)
-        assert a < 1 + math.sqrt(5) < b
+        bits = 99
+        args = ("R", sign_sequence("RR"), bits, *fixed_thresholds(1e-12, 1e-13, bits))
+        assert locator._certify(2.6, 3.6, *args)[0] is None
+        cert, wait = locator._certify(3.2, 3.27, *args)
+        a, b, a_float, b_float, below, above, _ = cert
+        assert a_float <= a / 2**bits < 1 + math.sqrt(5) < b / 2**bits <= b_float
         assert (below, above) == (locator._BELOW, locator._ABOVE)
+        assert wait == math.inf
 
-    def test_never_below_53_bits(self, monkeypatch):
+    def test_certifies_below_53_bits(self, monkeypatch):
+        # Below 53 bits no float stage runs, but the certificate lives in
+        # the fixed-point stage's integers and is granted there too.
         calls = []
-        monkeypatch.setattr(locator, "_certify", lambda *args: calls.append(args))
+        certify = locator._certify
+
+        def recorded(*args):
+            calls.append(certify(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(locator, "_certify", recorded)
         for word in period_words(8):
             try:
                 locate(word, dps=9, tol=1e-9, eps=1e-9)
             except LocateError:
                 pass
-        assert calls == []
-        locate("RLRRC", dps=15)
-        assert calls
+        assert sum(cert is not None for cert, _ in calls) > 30
 
     def test_probe_counts(self, monkeypatch):
-        # Without the enclosure order_report(10) makes 5,510 float probes
-        # (the same 561 fixed-point and 116 mpf ones); the counts are pinned
-        # so that a certificate that silently stops certifying shows.
+        # Without the enclosure order_report(10) makes 5,510 float, 561
+        # fixed-point and 116 mpf probes; the counts are pinned so that a
+        # certificate that silently stops certifying, or a wait schedule
+        # that retries too often, shows.
         counts = Counter()
         for name in ("_probe_float", "_probe_fixed", "_probe", "_certify"):
             def counted(*args, _name=name, _probe=getattr(locator, name)):
                 result = _probe(*args)
                 counts[_name] += 1
-                if _name == "_certify" and result is not None:
+                if _name == "_certify" and result[0] is not None:
                     counts["certified"] += 1
                 return result
 
             monkeypatch.setattr(locator, name, counted)
         order_report(10)
-        assert counts == {"_probe_float": 2098, "_probe_fixed": 561, "_probe": 116,
-                          "_certify": 407, "certified": 116}
+        assert counts == {"_probe_float": 1380, "_probe_fixed": 192, "_probe": 116,
+                          "_certify": 128, "certified": 116}
 
 
 def object_itinerary(r, steps, eps):
