@@ -23,6 +23,7 @@ Both are accelerators; the divisor scan stays the ground truth.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,7 +50,7 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
-_FLIP = {"R": "L", "L": "R"}
+_FLIP = str.maketrans("RL", "LR")
 
 
 def r_parity(seq: SeqLike) -> Parity:
@@ -61,20 +62,20 @@ def r_parity(seq: SeqLike) -> Parity:
 def compose(inner: SeqLike, outer: SeqLike) -> AdmissibleSeq:
     """Compose two admissible sequences; period multiplies.
 
+    The result is ``stem + stem.join(letters) + stem + "C"``, with stem
+    the inner body and letters the outer body, flipped (R <-> L) once
+    when the inner sequence holds an odd number of Rs.
+
     >>> compose("RC", "RC").symbols
     'RLRC'
     """
     a = as_sequence(inner)
     b = as_sequence(outer)
     stem = a.body
-    flip = r_parity(a) is Parity.ODD
-    parts = []
-    for y in b.body:
-        parts.append(stem)
-        parts.append(_FLIP[y] if flip else y)
-    parts.append(stem)
-    parts.append("C")
-    out = AdmissibleSeq("".join(parts))
+    letters = b.body
+    if r_parity(a) is Parity.ODD:
+        letters = letters.translate(_FLIP)
+    out = AdmissibleSeq(stem + stem.join(letters) + stem + "C")
     assert out.period == a.period * b.period
     return out
 
@@ -82,20 +83,21 @@ def compose(inner: SeqLike, outer: SeqLike) -> AdmissibleSeq:
 def _split_at(word: str, h: int) -> Optional[tuple[str, str]]:
     """Try to read ``word`` as stem-and-letters with inner period h.
 
-    Returns (inner, outer) symbol strings when the stem repeats in every
-    h-aligned slot and both recovered sequences are shift-maximal."""
-    p = len(word)
-    s = p // h
+    The letters are the symbols at positions h-1, 2h-1, ... before the
+    final C; the stem is the first h-1 symbols, and the word must be the
+    stem repeated around every letter, as :func:`compose` builds it.
+    Returns (inner, outer) symbol strings when it is and both recovered
+    sequences are shift-maximal."""
     stem = word[: h - 1]
-    for j in range(1, s):
-        if word[j * h : (j + 1) * h - 1] != stem:
-            return None
+    letters = word[h - 1 : -1 : h]
+    if stem + stem.join(letters) + stem + "C" != word:
+        return None
     inner = stem + "C"
     if not _shift_maximal_word(inner):
         return None
-    flip = inner.count("R") % 2 == 1
-    letters = [word[(j + 1) * h - 1] for j in range(s - 1)]
-    outer = "".join(_FLIP[z] if flip else z for z in letters) + "C"
+    if inner.count("R") % 2 == 1:
+        letters = letters.translate(_FLIP)
+    outer = letters + "C"
     if not _shift_maximal_word(outer):
         return None
     return inner, outer
@@ -261,12 +263,7 @@ def factor_interleaved_core(seq: SeqLike) -> tuple[AdmissibleSeq, AdmissibleSeq]
     if i != len(body):
         raise ShapeError(f"{s}: trailing symbols do not fit the core grid")
 
-    groups: list[tuple[str, int]] = []
-    for ch in letters:
-        if groups and groups[-1][0] == ch:
-            groups[-1] = (ch, groups[-1][1] + 1)
-        else:
-            groups.append((ch, 1))
+    groups = [(ch, len(list(run))) for ch, run in itertools.groupby(letters)]
     if not groups or groups[0][0] != "R":
         raise ShapeError(f"{s}: first unit group must extend the core with R")
     r_groups = [n for ch, n in groups if ch == "R"]
@@ -281,9 +278,6 @@ def factor_interleaved_core(seq: SeqLike) -> tuple[AdmissibleSeq, AdmissibleSeq]
 
     inner = AdmissibleSeq(core + "C")
     # The core holds exactly one R, so recovered letters always flip.
-    h = q + 1
-    count = s.period // h
-    outer_letters = [_FLIP[word[(j + 1) * h - 1]] for j in range(count - 1)]
-    outer = AdmissibleSeq("".join(outer_letters) + "C")
+    outer = AdmissibleSeq(word[q : -1 : q + 1].translate(_FLIP) + "C")
     assert compose(inner, outer).symbols == word
     return inner, outer

@@ -469,7 +469,9 @@ def locate(
 
     The input must be an MSS-sequence; the degenerate period-1 word "C"
     maps to r = 2 directly.  Raises :class:`LocateError` when the
-    bisection budget runs out before the residual drops below ``tol``.
+    bisection budget runs out before the residual drops below ``tol``,
+    and with the same message as soon as the bracket stalls: a midpoint
+    equal to the previous step's would repeat that step to the end.
 
     The defaults grow with the period p and the tolerance: ``dps`` is
     max(30, ceil(p log10 4) + ceil(-log10 tol) + 8) significant digits,
@@ -532,12 +534,16 @@ def locate(
     cert = None  # the root enclosure of _certify, once one is granted
     retry = 0  # the first step at which a certificate may be attempted (again)
     lo_matched = hi_matched = False  # whether the orbit at lo (hi) matched the whole prefix
+    last = None  # the previous mpf step's midpoint
     for iteration in range(1, max_iter + 1):
         floating = isinstance(lo, float)
-        if floating:
+        if floating:  # float brackets stay 2^-48 (8 ulps) wide or more: no midpoint repeats
             mid = (lo + hi) / 2
         else:  # halving the rounded sum is exact, as mpf division by 2 is
             mid = mpf_shift(mpf_add(lo, hi, prec, round_nearest), -1)
+            if mid == last:  # same midpoint, same verdict, same bracket: a fixed point
+                break
+            last = mid
         verdict = None
         matched = False  # whether the orbit at mid matches the whole prefix
         if cert is not None:

@@ -17,11 +17,13 @@ no proper right shift exceeds it in this order; shift-maximality is the
 operational test for being an MSS-sequence.
 
 Two equivalent shift-maximality tests are provided on purpose.  The
-symbol-level test applies the order directly.  The sign-level test
-rewrites a word into a +-1/0 sequence in which R flips a running sign, L
-copies it and C maps to 0; right shifts are then compared numerically
-after zero padding.  Keeping both routes independent lets each act as an
-oracle for the other.
+symbol-level test applies the order directly, to the shifts that start
+with R (any other is below the word at its first symbol).  The sign-level
+test rewrites a word into a +-1/0 sequence in which R flips a running
+sign, L copies it and C maps to 0, held as bytes; right shifts are then
+compared as bytes after zero padding, as the structured test of
+:mod:`msskit.structure` also does.  Keeping both routes independent lets
+each act as an oracle for the other.
 
 Input text may compress letter runs as ``RL^4RC``; see
 :func:`parse_sequence`.
@@ -58,12 +60,17 @@ __all__ = [
 
 _SYMBOL_RANK = {"L": 0, "C": 1, "R": 2}
 _R_BITS = str.maketrans("RL", "10", "C")
+_R_TWOS = bytes.maketrans(b"RLC", b"\x02\x00\x00")
+_C_ONES = bytes.maketrans(b"RLC", b"\x00\x00\x01")
+_NEGATE = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # -1 <-> +1 in _signs' bytes
 
 _RUNS_RE = re.compile(r"(?:[RLC](?:\^\d+)?)*")  # the grammar, matched as a prefix
 _POWER_RE = re.compile(r"([RLC])\^(\d+)")
 _MAX_LENGTH = 10**6  # longest word run notation may expand to
 _MAX_DIGITS = len(str(_MAX_LENGTH))
 _TOO_LONG = f"run notation expands to more than {_MAX_LENGTH} symbols"
+_REPEAT_RE = re.compile(r"(.)\1+", re.DOTALL)
+_L_RUN_RE = re.compile("L+")
 
 
 class Ordering(enum.IntEnum):
@@ -112,16 +119,7 @@ def _long_exponent(digits: str) -> int:
 
 def compress_exponents(word: str) -> str:
     """Inverse of :func:`expand_exponents`: collapse letter runs of length >= 2."""
-    out = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        run = j - i
-        out.append(word[i] if run == 1 else f"{word[i]}^{run}")
-        i = j
-    return "".join(out)
+    return _REPEAT_RE.sub(lambda m: f"{m[1]}^{len(m[0])}", word)
 
 
 @dataclass(frozen=True)
@@ -204,19 +202,33 @@ def sign_sequence(seq: SeqLike) -> tuple[int, ...]:
     order-preserving with respect to :func:`parity_lex_cmp`.
     """
     word = seq.symbols if isinstance(seq, AdmissibleSeq) else seq
-    out = []
-    beta = 0
-    for ch in word:
-        if ch == "C":
-            out.append(0)
-        elif ch == "R":
-            out.append(1 if beta % 2 == 0 else -1)
-            beta += 1
-        elif ch == "L":
-            out.append(-1 if beta % 2 == 0 else 1)
-        else:
-            raise NotAdmissibleError(f"invalid symbol {ch!r}")
-    return tuple(out)
+    bad = word.lstrip("RLC")  # starts at the first symbol that is none of them
+    if bad:
+        raise NotAdmissibleError(f"invalid symbol {bad[0]!r}")
+    return tuple(map((-1, 0, 1).__getitem__, _signs(word)))
+
+
+def _signs(word: str) -> bytes:
+    """:func:`sign_sequence` of a word of R, L and C as bytes, each entry plus one.
+
+    Entry i is +1 when ``word[: i + 1]`` holds an odd number of Rs: XORing
+    2 per R into every later byte (log2 p shifts of one int) gives 2 or 0,
+    and each C, which flips nothing, then becomes 1."""
+    raw = word.encode()
+    n = int.from_bytes(raw.translate(_R_TWOS), "big")
+    step = 8
+    while step < 8 * len(raw):
+        n ^= n >> step
+        step <<= 1
+    c = int.from_bytes(raw.translate(_C_ONES), "big")
+    return ((n & ~(c << 1)) | c).to_bytes(len(raw), "big")
+
+
+def _shift_below(sig: bytes, neg: bytes, k: int) -> bool:
+    """Whether the shift at offset k of an R-leading word with :func:`_signs`
+    ``sig`` (negated: ``neg``) stays below the word: normalized to start
+    with +1, zero-padded and compared as bytes."""
+    return (sig if sig[k] else neg)[k:] + b"\x01" * k < sig
 
 
 def decode_signs(entries: Sequence[int]) -> str:
@@ -282,19 +294,23 @@ def is_shift_maximal(seq: SeqLike) -> bool:
 
 
 def _shift_maximal_word(word: str) -> bool:
-    """:func:`is_shift_maximal` on a plain word already known to be admissible."""
-    p = len(word)
-    rank = _SYMBOL_RANK
-    for k in range(1, p):
-        # Compare word[k:] with word in place: find the first difference,
-        # then orient it by the parity of the Rs in the common prefix.
-        i = k
-        while i < p and word[i] == word[i - k]:
+    """:func:`is_shift_maximal` on a plain word already known to be admissible.
+
+    Only shifts starting with R can exceed an R-leading word, and the
+    final C exceeds an L-leading one."""
+    if word[0] != "R":
+        return False
+    k = word.find("R", 1)
+    while k > 0:
+        # First difference of word[k:] and word: by the final C at the latest,
+        # so the word's symbol there is R or L, and the shift's is larger iff
+        # the word's is L; the Rs in the common prefix orient that verdict.
+        i = k + 1
+        while word[i] == word[i - k]:
             i += 1
-        if i < p:
-            odd = word.count("R", k, i) % 2 == 1
-            if (rank[word[i]] > rank[word[i - k]]) != odd:
-                return False
+        if (word[i - k] == "L") != (word.count("R", k, i) % 2 == 1):
+            return False
+        k = word.find("R", k + 1)
     return True
 
 
@@ -305,37 +321,23 @@ def is_shift_maximal_signs(seq: SeqLike) -> bool:
     full one.  Of the two signed copies of a shifted sequence, the one
     starting with -1 is dominated outright because the sequence itself
     starts with +1; only the copy normalized to start with +1 needs the
-    positional comparison.  Requires a sequence starting with R.
+    positional comparison, made by :func:`_shift_below`.  Requires a
+    sequence starting with R.
     """
     s = as_sequence(seq)
     if not s.symbols.startswith("R"):
         raise NotAdmissibleError(f"{s}: sign-level test requires a leading R")
-    lam = sign_sequence(s)
-    p = len(lam)
-    for k in range(1, p):
-        first = lam[k]
-        if first == 0:
-            continue  # all-zero tail, strictly below
-        for i in range(p):
-            a = first * lam[k + i] if k + i < p else 0
-            if a != lam[i]:
-                if a > lam[i]:
-                    return False
-                break
+    sig = _signs(s.symbols)
+    neg = sig.translate(_NEGATE)
+    for k in range(1, len(sig)):
+        if not _shift_below(sig, neg, k):
+            return False
     return True
 
 
 def max_l_run(word: str) -> int:
     """Length of the longest run of consecutive Ls."""
-    best = cur = 0
-    for ch in word:
-        if ch == "L":
-            cur += 1
-            if cur > best:
-                best = cur
-        else:
-            cur = 0
-    return best
+    return max(map(len, _L_RUN_RE.findall(word)), default=0)
 
 
 def _sign_rank(word: str) -> int:

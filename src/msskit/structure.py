@@ -22,7 +22,9 @@ first: the shift landing on the last ``RL^q`` copy of the group.  Every
 other shift is dominated for free (it starts with a strictly shorter
 climb than the head, or inside an interior block, or on an earlier copy
 whose continuation is an entire extra head group).  Each examined shift
-is settled by comparing zero-padded sign sequences, which is exact.  The
+is settled exactly by the sign-level comparison of
+:func:`msskit.sequences.is_shift_maximal_signs`: the shift's sign bytes,
+normalized to start with +1 and zero-padded, against the word's.  The
 group-level rules run alongside as a cross-check: the first diverging
 interior block goes through :func:`parity_lex_cmp`, reversed when beta,
 the count of Rs before it, is odd, and the first diverging head exponent
@@ -36,7 +38,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import NotAdmissibleError, RunLengthError
-from .sequences import AdmissibleSeq, SeqLike, as_sequence, parity_lex_cmp, sign_sequence
+from .sequences import AdmissibleSeq, SeqLike, as_sequence, parity_lex_cmp
+from .sequences import _NEGATE, _shift_below, _signs  # the sign-level comparison
 
 __all__ = [
     "RULE_RUN_BOUND",
@@ -176,17 +179,6 @@ class StructuredVerdict:
     failing_rule: Optional[str] = None
 
 
-def _padded_sign_shift_less(lam: tuple[int, ...], k: int) -> bool:
-    """Exact verdict for the shift at offset k: True when it stays below."""
-    first = lam[k]
-    p = len(lam)
-    for i in range(p):
-        a = first * lam[k + i] if k + i < p else 0
-        if a != lam[i]:
-            return a < lam[i]
-    raise AssertionError("a proper shift always differs before exhaustion")
-
-
 def _group_rule(form: BlockForm, k: int):
     """Classify the critical shift for group k+1 and, when the group-level
     hypotheses fully apply, predict its verdict.
@@ -229,6 +221,11 @@ def is_mss_structured(seq: SeqLike) -> StructuredVerdict:
     shift, always cross-checked against the group-level rules: a mismatch
     raises :class:`RuleDisagreement`.  It has never fired on exhaustive
     runs and exists to surface any future inconsistency, not mask it.
+
+    >>> is_mss_structured("RLRRLRRRC").is_mss
+    True
+    >>> is_mss_structured("RLRRRLRRC")
+    StructuredVerdict(is_mss=False, failing_shift=4, failing_rule='block-order')
     """
     s = as_sequence(seq)
     if not s.symbols.startswith("R"):
@@ -261,11 +258,12 @@ def _test_form(form: BlockForm, word: str) -> StructuredVerdict:
     nonempty final block when there are two or more groups); nothing here
     checks that.  A single group has no critical shift and is accepted.
     """
-    lam = sign_sequence(word)
+    sig = _signs(word)
+    neg = sig.translate(_NEGATE)
     shift_at = 0  # offset of the last head copy of group k; group 0 has one copy
     for k, ((_, s), (n, _)) in enumerate(zip(form.runs, form.runs[1:]), 1):
         shift_at += len(s) + n * (form.q + 1)
-        below = _padded_sign_shift_less(lam, shift_at)
+        below = _shift_below(sig, neg, shift_at)
         rule, predicted = _group_rule(form, k)
         if predicted is not None and predicted != below:
             raise RuleDisagreement(

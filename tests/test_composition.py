@@ -22,6 +22,8 @@ from msskit import (
     r_parity,
 )
 
+from conftest import brute_shift_maximal
+
 # The worked large composite: RL^4 (RL^3 R)^2 (RL^4)^3 RL^3 R RL^3 C.
 BIG = expand_exponents("RL^4RL^3RRL^3RRL^4RL^4RL^4RL^3RRL^3C")
 BIG_INNER = "RLLLC"
@@ -283,3 +285,74 @@ class TestInterleavedCore:
                 assert not is_primary(seq)
                 assert compose(inner, outer).symbols == seq.symbols
         assert hits >= 1
+
+
+# The letter loops that the join-built composition replaced, kept here as
+# oracles for it; shift-maximality comes from the definitional oracle.
+_FLIP = {"R": "L", "L": "R"}
+
+
+def loop_compose(inner, outer):
+    stem = inner[:-1]
+    flip = inner.count("R") % 2 == 1
+    parts = []
+    for y in outer[:-1]:
+        parts.append(stem)
+        parts.append(_FLIP[y] if flip else y)
+    parts.append(stem)
+    parts.append("C")
+    return "".join(parts)
+
+
+def loop_split_at(word, h):
+    s = len(word) // h
+    stem = word[: h - 1]
+    for j in range(1, s):
+        if word[j * h : (j + 1) * h - 1] != stem:
+            return None
+    inner = stem + "C"
+    if not brute_shift_maximal(inner):
+        return None
+    flip = inner.count("R") % 2 == 1
+    letters = [word[(j + 1) * h - 1] for j in range(s - 1)]
+    outer = "".join(_FLIP[z] if flip else z for z in letters) + "C"
+    if not brute_shift_maximal(outer):
+        return None
+    return inner, outer
+
+
+class TestKernelsMatchLoops:
+    @staticmethod
+    def check(a, b):
+        from msskit.composition import _split_at
+
+        word = compose(a, b).symbols
+        assert word == loop_compose(a, b), (a, b)
+        for h in range(2, len(word)):
+            if len(word) % h == 0:
+                assert _split_at(word, h) == loop_split_at(word, h), (word, h)
+
+    def test_every_pair_to_period_24(self, brute_mss_by_period):
+        for pa, pb in itertools.product(range(2, 13), repeat=2):
+            if pa * pb <= 24:
+                for a in brute_mss_by_period[pa]:
+                    for b in brute_mss_by_period[pb]:
+                        self.check(a, b)
+
+    def test_seeded_composites_to_period_48(self, brute_mss_by_period):
+        import random
+
+        rng = random.Random(48)
+        pairs = [(pa, pb) for pa in range(2, 9) for pb in range(2, 15) if 24 < pa * pb <= 48]
+        for _ in range(400):
+            pa, pb = rng.choice(pairs)
+            self.check(rng.choice(brute_mss_by_period[pa]), rng.choice(brute_mss_by_period[pb]))
+
+    def test_split_at_on_words_that_are_not_composites(self, brute_mss_by_period):
+        from msskit.composition import _split_at
+
+        for p in (12, 14):
+            for word in brute_mss_by_period[p]:
+                for h in range(2, p):
+                    if p % h == 0:
+                        assert _split_at(word, h) == loop_split_at(word, h), (word, h)

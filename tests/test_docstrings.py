@@ -6,6 +6,7 @@ import msskit.composition
 import msskit.generators
 import msskit.locator
 import msskit.sequences
+import msskit.structure
 
 
 def test_docstring_examples():
@@ -14,6 +15,7 @@ def test_docstring_examples():
         msskit.generators,
         msskit.composition,
         msskit.locator,
+        msskit.structure,
     ):
         failures, _ = doctest.testmod(module, verbose=False)
         assert failures == 0, module.__name__

@@ -834,6 +834,31 @@ class TestRawStage:
         assert (float(found.r_star), found.iterations) == (3.7734375, 7)
         assert locate("RLRRRC", dps=9, tol=1e-9, eps=1e-9).iterations == 29
 
+    def test_stalled_bracket_stops_at_once(self, monkeypatch):
+        # At dps=2 most searches narrow the bracket to one unit of the
+        # working precision, where the midpoint rounds onto an end and every
+        # later step would repeat the same mpf probe up to max_iter.  The
+        # search stops at the first repeated midpoint with the same error.
+        probes = []
+
+        def counted(r, *args):
+            probes.append(r)
+            return _probe(r, *args)
+
+        monkeypatch.setattr(locator, "_probe", counted)
+        stalled = 0
+        for word in (w for p in range(2, 11) for w in enumerate_mss_structured(p).words()):
+            start = len(probes)
+            try:
+                locate(word, dps=2, tol=1e-2, eps=1e-2)
+            except LocateError as err:
+                stalled += 1
+                assert str(err) == f"{word}: no convergence within 200 bisection steps"
+            mids = probes[start:]
+            assert all(a != b for a, b in zip(mids, mids[1:])), word
+        assert stalled > 50
+        assert len(probes) < 1500  # 20,476 when each stalled search ran to max_iter
+
     @staticmethod
     def check_against_oracle(word, **kwargs):
         args = default_args(len(word), kwargs.get("tol", 1e-13))

@@ -313,3 +313,156 @@ class TestHelpers:
         assert s.body == "RLLR"
         assert len(s) == 5
         assert s.compressed() == "RL^2RC"
+
+
+# The per-symbol loops that the bytes and str kernels replaced, kept here
+# as oracles for them.
+_RANK = {"L": 0, "C": 1, "R": 2}
+
+
+def loop_shift_maximal(word):
+    p = len(word)
+    for k in range(1, p):
+        i = k
+        while i < p and word[i] == word[i - k]:
+            i += 1
+        if i < p:
+            odd = word.count("R", k, i) % 2 == 1
+            if (_RANK[word[i]] > _RANK[word[i - k]]) != odd:
+                return False
+    return True
+
+
+def loop_sign_sequence(word):
+    out = []
+    beta = 0
+    for ch in word:
+        if ch == "C":
+            out.append(0)
+        elif ch == "R":
+            out.append(1 if beta % 2 == 0 else -1)
+            beta += 1
+        elif ch == "L":
+            out.append(-1 if beta % 2 == 0 else 1)
+        else:
+            raise NotAdmissibleError(f"invalid symbol {ch!r}")
+    return tuple(out)
+
+
+def loop_padded_shift_less(lam, k):
+    first = lam[k]
+    p = len(lam)
+    for i in range(p):
+        a = first * lam[k + i] if k + i < p else 0
+        if a != lam[i]:
+            return a < lam[i]
+    raise AssertionError("a proper shift always differs before exhaustion")
+
+
+def loop_shift_maximal_signs(word):
+    lam = loop_sign_sequence(word)
+    p = len(lam)
+    for k in range(1, p):
+        first = lam[k]
+        if first == 0:
+            continue
+        for i in range(p):
+            a = first * lam[k + i] if k + i < p else 0
+            if a != lam[i]:
+                if a > lam[i]:
+                    return False
+                break
+    return True
+
+
+def kernel_words():
+    """Every word of {R,L}^(p-1)C for p <= 14, L-leading ones included, then
+    2,000 seeded random words with 15 <= p <= 60, R-leading and not."""
+    import random
+
+    for p in range(2, 15):
+        for mid in itertools.product("RL", repeat=p - 1):
+            yield "".join(mid) + "C"
+    rng = random.Random(14)
+    for _ in range(2000):
+        p = rng.randint(15, 60)
+        yield "".join(rng.choice("RL") for _ in range(p - 1)) + "C"
+
+
+class TestKernelsMatchLoops:
+    def test_direct_route(self):
+        from msskit.sequences import _shift_maximal_word
+
+        for word in kernel_words():
+            expect = loop_shift_maximal(word)
+            assert _shift_maximal_word(word) is expect, word
+            assert is_shift_maximal(word) is expect, word
+
+    def test_l_leading_words_are_never_maximal(self):
+        for word in ["LC", "LLC", "LRC", "LRRRC"]:
+            assert is_shift_maximal(word) is False
+
+    def test_sign_sequence(self):
+        import random
+
+        for word in kernel_words():
+            assert sign_sequence(word) == loop_sign_sequence(word), word
+        rng = random.Random(3)
+        for _ in range(2000):  # C anywhere, and words that are not admissible
+            word = "".join(rng.choice("RLC") for _ in range(rng.randint(0, 30)))
+            assert sign_sequence(word) == loop_sign_sequence(word), word
+
+    @pytest.mark.parametrize("word", ["X", "RLXC", "RLCyX", "R\nC", "RL C", "RLLé", "rlc"])
+    def test_sign_sequence_names_the_first_bad_symbol(self, word):
+        with pytest.raises(NotAdmissibleError) as expect:
+            loop_sign_sequence(word)
+        with pytest.raises(NotAdmissibleError) as got:
+            sign_sequence(word)
+        assert str(got.value) == str(expect.value)
+
+    def test_sign_route_and_each_shift(self):
+        from msskit.sequences import _NEGATE, _shift_below, _signs
+
+        # On an admissible word the shift's final C decides the comparison
+        # before the padding is reached; on a word with no C, the padding
+        # decides whenever the shift matches the word's prefix.
+        no_c = ("R" + "".join(mid) for n in range(12) for mid in itertools.product("RL", repeat=n))
+        for word in itertools.chain(kernel_words(), no_c):
+            if not word.startswith("R"):
+                continue
+            if word.endswith("C"):
+                assert is_shift_maximal_signs(word) is loop_shift_maximal_signs(word), word
+            lam = loop_sign_sequence(word)
+            sig = _signs(word)
+            neg = sig.translate(_NEGATE)
+            for k in range(1, len(word)):
+                assert _shift_below(sig, neg, k) == loop_padded_shift_less(lam, k), (word, k)
+
+    def test_max_l_run(self):
+        def loop_max_l_run(word):
+            best = cur = 0
+            for ch in word:
+                cur = cur + 1 if ch == "L" else 0
+                best = max(best, cur)
+            return best
+
+        for word in itertools.chain(kernel_words(), ["", "L", "LLRLLL", "RLCLL", "LXL"]):
+            assert max_l_run(word) == loop_max_l_run(word), word
+
+    def test_compress_roundtrip_on_kernel_words(self):
+        def loop_compress(word):
+            out = []
+            i = 0
+            while i < len(word):
+                j = i
+                while j < len(word) and word[j] == word[i]:
+                    j += 1
+                run = j - i
+                out.append(word[i] if run == 1 else f"{word[i]}^{run}")
+                i = j
+            return "".join(out)
+
+        for word in kernel_words():
+            text = compress_exponents(word)
+            assert text == loop_compress(word)
+            assert expand_exponents(text) == word

@@ -252,9 +252,9 @@ class TestGroupRuleCrossCheck:
     """The group-level rules that cross-check every critical shift."""
 
     def test_matches_sign_tuple_rule_and_exact_comparison(self):
-        from msskit import sign_sequence
         from msskit.generators import _candidates
-        from msskit.structure import _group_rule, _padded_sign_shift_less
+        from msskit.sequences import _NEGATE, _shift_below, _signs
+        from msskit.structure import _group_rule
 
         forms = shifts = 0
         predicted = Counter()
@@ -263,7 +263,8 @@ class TestGroupRuleCrossCheck:
                 if form.group_count < 2:
                     continue
                 forms += 1
-                lam = sign_sequence(word)
+                sig = _signs(word)
+                neg = sig.translate(_NEGATE)
                 unit = form.q + 1
                 pos = 0
                 for k, (n, s) in enumerate(form.runs):
@@ -276,7 +277,7 @@ class TestGroupRuleCrossCheck:
                     assert (rule, verdict) == sign_tuple_rule(form, k), (word, k)
                     if verdict is not None:
                         predicted[rule] += 1
-                        assert verdict == _padded_sign_shift_less(lam, shift_at), (word, k)
+                        assert verdict == _shift_below(sig, neg, shift_at), (word, k)
         assert (forms, shifts) == (1520, 1901)
         assert predicted == Counter({RULE_BLOCK_ORDER: 906, RULE_EXPONENT_PARITY: 46})
 
@@ -290,8 +291,8 @@ class TestGroupRuleCrossCheck:
         from msskit import structure
 
         assert is_mss_structured(word) == StructuredVerdict(True)
-        exact = structure._padded_sign_shift_less
-        monkeypatch.setattr(structure, "_padded_sign_shift_less", lambda lam, k: not exact(lam, k))
+        exact = structure._shift_below
+        monkeypatch.setattr(structure, "_shift_below", lambda sig, neg, k: not exact(sig, neg, k))
         with pytest.raises(RuleDisagreement) as err:
             is_mss_structured(word)
         assert str(err.value) == (
