@@ -32,10 +32,10 @@ bisection path, each answering only what it can prove:
 3. mpmath extended precision (30 significant digits, more for long
    periods) decides every step the other two leave open and is the only
    stage that ends the search, so it computes every reported residual.
-   It runs on raw values, the (sign, man, exp, bc) tuples behind mpf
-   objects, through the ``mpmath.libmp`` calls that mpf operators make
-   at the context's precision and rounding: the same bits, without the
-   object layer.
+   Its orbit makes each of r x, 1 - x, their product and x - 1/2 with
+   exact integer operations rounded to nearest-even at prec bits, which
+   is what libmp's correctly rounded calls return: the bits of mpf
+   arithmetic, without the object layer or libmp's call chain.
 
 A stage abstains instead of guessing, so every step goes the way an
 all-mpmath bisection takes it and the result (parameter, residual and
@@ -75,12 +75,13 @@ from typing import Optional, Union
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import (
-    fhalf, fone, from_float, from_man_exp, mpf_abs, mpf_add, mpf_le, mpf_lt, mpf_mul, mpf_shift,
-    mpf_sub, round_ceiling, round_floor, round_nearest, to_fixed, to_float,
+    from_float, from_man_exp, mpf_abs, mpf_add, mpf_lt, mpf_shift, round_ceiling, round_floor,
+    round_nearest, to_fixed, to_float,
 )
 
 from .errors import LocateError, NotMssError
 from .sequences import SeqLike, as_sequence, expand_exponents, is_shift_maximal, sign_sequence
+from .sequences import _signs
 
 __all__ = [
     "MapParam",
@@ -138,37 +139,42 @@ class MapParam:
 Param = Union[MapParam, float, mpf]
 
 
+def _check_eps(eps) -> None:
+    """Raise unless ``eps`` is a finite int, float or mpf >= 0, whose exact value is known."""
+    if not isinstance(eps, (int, float)) and not hasattr(eps, "_mpf_"):
+        raise TypeError(f"eps must be an int, float or mpf, got {type(eps).__name__}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+
+
 def itinerary(r: Param, steps: int, eps: float = _DEFAULT_EPS) -> str:
     """Symbol word of the critical orbit: step i classifies f^i(1/2).
 
     Points within ``eps`` of 1/2 read as C; the dead band keeps the
     terminal step of a located orbit classified as C despite rounding.
-    ``eps`` must be finite and >= 0 and is compared at its exact value.
-    The orbit is the raw one :func:`locate` runs: an mpf parameter at
-    its own context's precision and rounding, any other at 53 bits
-    rounded to nearest, which is float64 arithmetic bit for bit.
+    ``eps`` must be a finite int, float or mpf >= 0 and is compared at
+    its exact value.  The orbit is :func:`locate`'s mpmath one, exact
+    integer operations rounded to nearest-even at prec bits, as libmp's
+    correctly rounded calls are: an mpf parameter at its own context's
+    precision, any other at 53 bits, which is float64 arithmetic.
 
     >>> itinerary(2.0, 1)
     'C'
     >>> itinerary(4.0, 2)
     'RL'
+    >>> itinerary(locate("RLRRC").r_star, 5)
+    'RLRRC'
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not (math.isfinite(eps) and eps >= 0):
-        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+    _check_eps(eps)
     rv = r.r if isinstance(r, MapParam) else r
     if not 0 < rv <= 4:
         raise ValueError(f"parameter {rv} outside (0, 4]")
-    if hasattr(rv, "_mpf_"):
-        prec, rnd = rv.context._prec_rounding
-        rv = rv._mpf_
-    else:  # float64 arithmetic is libmp's at 53 bits, rounded to nearest
-        prec, rnd = 53, round_nearest
-        rv = from_float(float(rv))
-    eps_raw = mpf.mpf_convert_rhs(eps)  # exact for int, float and mpf, as comparisons are
-    orbit = _orbit(rv, prec, rnd)
-    return "".join(_symbol(next(orbit), eps_raw, prec, rnd) for _ in range(steps))
+    prec, rv = (rv.context.prec, rv._mpf_) if hasattr(rv, "_mpf_") else (53, from_float(float(rv)))
+    _, eps_m, eps_e, _ = mpf.mpf_convert_rhs(eps)  # exact, as comparisons are
+    orbit = _orbit(rv, prec)
+    return "".join(_symbol(*next(orbit), eps_m, eps_e) for _ in range(steps))
 
 
 @dataclass(frozen=True)
@@ -189,19 +195,41 @@ class LocatedSequence:
 _BELOW, _ABOVE, _MATCHED = -1, 1, 0
 
 
-def _orbit(r: tuple, prec: int, rnd: str):
-    """Raw f^i(1/2) - 1/2, i = 1, 2, ..., by the libmp calls of mpf arithmetic."""
-    x = fhalf
+def _round(m: int, e: int, prec: int):
+    """m 2^e rounded to nearest at ``prec`` bits, ties to even, as (m, e)."""
+    a = abs(m)
+    n = a.bit_length() - prec
+    if n <= 0:  # exact; a zero orbit (r = 4) keeps exponent 0 instead of sinking
+        return (m, e) if m else (0, 0)
+    t = a >> (n - 1)  # the kept bits and the first dropped one
+    if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)):
+        t += 2
+    t >>= 1
+    return (t if m > 0 else -t), e + n
+
+
+def _orbit(r: tuple, prec: int):
+    """f^i(1/2) - 1/2, i = 1, 2, ..., as (m, e) pairs, for a raw mpf ``r`` > 0.
+
+    Each of r x, 1 - x, their product and x - 1/2 is exact, then rounded.
+    """
+    _, rm, re, _ = r
+    xm, xe = 1, -1
     while True:
-        x = mpf_mul(mpf_mul(r, x, prec, rnd), mpf_sub(fone, x, prec, rnd), prec, rnd)
-        yield mpf_sub(x, fhalf, prec, rnd)
+        am, ae = _round(rm * xm, re + xe, prec)
+        e = xe if xe < 0 else 0  # 1 - x on the finer grid of its two terms
+        bm, be = _round((1 << -e) - (xm << xe - e), e, prec)
+        xm, xe = _round(am * bm, ae + be, prec)
+        e = xe if xe < -1 else -1  # x - 1/2 likewise
+        yield _round((xm << xe - e) - (1 << -1 - e), e, prec)
 
 
-def _symbol(d: tuple, eps: tuple, prec: int, rnd: str) -> str:
-    """Symbol of a raw distance ``d`` from 1/2: C when |d| <= ``eps``."""
-    if mpf_le(mpf_abs(d, prec, rnd), eps):
+def _symbol(m: int, e: int, eps_m: int, eps_e: int) -> str:
+    """Symbol of the distance m 2^e from 1/2: C when it is at most eps_m 2^eps_e."""
+    k = e - eps_e
+    if (abs(m) << k <= eps_m) if k >= 0 else (abs(m) <= eps_m << -k):
         return "C"
-    return "L" if d[0] else "R"  # d != 0 here, so its sign bit reads d > 0
+    return "R" if m > 0 else "L"
 
 
 def _probe(r: tuple, prefix: str, signs: tuple, eps: tuple, prec: int):
@@ -209,22 +237,24 @@ def _probe(r: tuple, prefix: str, signs: tuple, eps: tuple, prec: int):
 
     ``r`` and ``eps`` are raw mpf values, rounded to nearest at ``prec``
     bits as in the locating context; ``signs`` is the target's sign
-    sequence with the final C read as R.  Returns (verdict, gap): verdict
+    sequence with the final C read as R; each symbol is the one mpf
+    arithmetic reads (see :func:`_orbit`).  Returns (verdict, gap): verdict
     -signs[i] (_BELOW or _ABOVE) at the first symbol difference i, or
     _MATCHED when all prefix symbols agree, in which case ``gap`` carries
-    the raw f^p(1/2) - 1/2 for the final steering and residual.  A
+    the raw mpf f^p(1/2) - 1/2 for the final steering and residual.  A
     dead-band hit before the prefix ends is undecidable here and reads
     as _BELOW: superstable points of shorter period are isolated, so the
     search escapes upward.
     """
-    orbit = _orbit(r, prec, round_nearest)
-    for i, (want, d) in enumerate(zip(prefix, orbit)):
-        got = _symbol(d, eps, prec, round_nearest)
+    _, eps_m, eps_e, _ = eps
+    orbit = _orbit(r, prec)
+    for i, (want, (m, e)) in enumerate(zip(prefix, orbit)):
+        got = _symbol(m, e, eps_m, eps_e)
         if got == "C":
             return _BELOW, None
         if got != want:
             return -signs[i], None
-    return _MATCHED, next(orbit)
+    return _MATCHED, from_man_exp(*next(orbit))
 
 
 def _probe_float(r: float, prefix: str, signs: tuple, eps: float, tol: float):
@@ -272,10 +302,10 @@ def _probe_fixed(mid, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fi
     The orbit runs on integers X = x 2^bits at the midpoint ``mid`` (a
     float, an mpf or a raw mpf tuple), which must be a multiple of
     2^-bits; ``eps_fix`` and ``tol_fix`` are the mpmath thresholds in the
-    same units, floored.  The mpmath orbit is the raw one of :func:`_orbit`,
-    with the bits of mpf arithmetic.  After step i this orbit and the
-    mpmath one are each within ``err`` = E_i = (4^i - 1)/3 units of the
-    exact one, since E_0 = 0 and E_{i+1} = 4 E_i + 1:
+    same units, floored.  The mpmath orbit is :func:`_orbit`'s, rounded
+    to nearest-even at prec bits as libmp's correctly rounded calls are.
+    After step i this orbit and the mpmath one are each within ``err`` =
+    E_i = (4^i - 1)/3 units of the exact one (E_{i+1} = 4 E_i + 1):
 
     - with r <= 4 all three orbits stay in [0, 1] (before its last
       rounding an mpf step is at most 1 + 2^-prec, which rounds to 1),
@@ -494,15 +524,15 @@ def locate(
     one comparison, each later midpoint outside an interval (a, b) around
     the root; it does so only where it proves the mpmath probe's verdict,
     so it cannot change a result either.
-    The mpmath stage works on raw libmp values with the calls, precision
-    and rounding of mpf objects, so its bits cannot differ from theirs.
+    The mpmath stage's orbit uses exact integer operations rounded to
+    nearest-even at prec bits, which is what libmp's correctly rounded
+    calls return, so its bits cannot differ from mpf arithmetic's.
     A converged parameter is confirmed by an independent :func:`itinerary`
     of the whole orbit before it is returned.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if not (math.isfinite(eps) and eps >= 0):
-        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+    _check_eps(eps)
     if dps is not None and dps < 1:
         raise ValueError(f"dps must be >= 1, got {dps!r}")
     if max_iter is not None and max_iter < 1:
@@ -597,7 +627,7 @@ def order_report(pmax: int, tol: float = _DEFAULT_TOL) -> list[LocatedSequence]:
     seqs = []
     for p in range(2, pmax + 1):
         seqs.extend(enumerate_mss_structured(p).words())
-    seqs.sort(key=sign_sequence)  # no two admissible sequences compare equal
+    seqs.sort(key=_signs)  # sign-sequence order; no two admissible sequences compare equal
     return [locate(w, tol=tol) for w in seqs]
 
 

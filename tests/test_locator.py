@@ -1,10 +1,12 @@
 """Superstable parameter location in the logistic family."""
 
+import itertools
 import math
 import random
 import sys
 import threading
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -12,7 +14,8 @@ import pytest
 from mpmath import mpf
 from mpmath.ctx_mp_python import _mpf
 from mpmath.libmp import (
-    from_float, from_man_exp, mpf_abs, mpf_lt, mpf_pos, round_nearest, to_fixed,
+    fhalf, fone, from_float, from_man_exp, mpf_abs, mpf_le, mpf_lt, mpf_mul, mpf_pos, mpf_sub,
+    round_nearest, to_fixed, to_float,
 )
 
 from msskit import (
@@ -28,7 +31,7 @@ from msskit import (
     verify_order,
 )
 from msskit import locator
-from msskit.locator import _MATCHED, _probe, _probe_fixed, _probe_float
+from msskit.locator import _BELOW, _MATCHED, _probe, _probe_fixed, _probe_float
 
 from conftest import brute_shift_maximal
 
@@ -138,6 +141,15 @@ class TestItinerary:
         # nan never read C and inf read every step as C
         with pytest.raises(ValueError, match="eps must be finite and >= 0, got"):
             itinerary(4.0, 3, eps=eps)
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10**12), Decimal("1e-12"), "1e-12"])
+    def test_rejects_eps_of_another_type(self, eps):
+        # an eps whose exact value is not known is a TypeError in both functions
+        message = f"^eps must be an int, float or mpf, got {type(eps).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            itinerary(3.9, 5, eps)
+        with pytest.raises(TypeError, match=message):
+            locate("RLC", eps=eps)
 
 
 class TestLocate:
@@ -882,3 +894,164 @@ class TestRawStage:
         assert calls == []
         mpf(3) * mpf(2)  # the counter does see object arithmetic
         assert len(calls) == 1
+
+
+def libmp_orbit(r, prec):
+    """Raw f^i(1/2) - 1/2 through libmp's mpf calls, rounded to nearest, as an oracle."""
+    x = fhalf
+    while True:
+        x = mpf_mul(mpf_mul(r, x, prec, round_nearest), mpf_sub(fone, x, prec, round_nearest),
+                    prec, round_nearest)
+        yield mpf_sub(x, fhalf, prec, round_nearest)
+
+
+def libmp_symbol(d, eps, prec):
+    """Symbol of a raw distance ``d`` from 1/2 in libmp's comparisons, as an oracle."""
+    if mpf_le(mpf_abs(d, prec, round_nearest), eps):
+        return "C"
+    return "L" if d[0] else "R"
+
+
+def libmp_probe(r, prefix, signs, eps, prec):
+    """:func:`_probe` on the libmp oracle orbit."""
+    orbit = libmp_orbit(r, prec)
+    for i, (want, d) in enumerate(zip(prefix, orbit)):
+        got = libmp_symbol(d, eps, prec)
+        if got == "C":
+            return _BELOW, None
+        if got != want:
+            return -signs[i], None
+    return _MATCHED, next(orbit)
+
+
+def raw_params(prec, rng):
+    """Raw mpf parameters in (3, 4] for an orbit at ``prec`` bits.
+
+    Seeded values rounded to ``prec`` bits, r = 4 (where x reaches 1 and
+    then 0), and two with 300-bit mantissas, which every first product
+    rounds."""
+    params = [mpf_pos(from_man_exp(3 * 2**(prec + 40) + rng.getrandbits(prec + 40) + 1,
+                                   -(prec + 40)), prec, round_nearest) for _ in range(4)]
+    params.append(from_float(4.0))
+    params += [from_man_exp(3 * 2**300 + rng.getrandbits(300) + 1, -300) for _ in range(2)]
+    return params
+
+
+def _wide_third():
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.prec = 400
+    return (ctx.mpf(1) / 3)._mpf_
+
+
+# 0 as a float and as an int, 1 as an int, floats, and an mpf from a 400-bit context
+FIXED_EPSILONS = [from_float(0.0), mpf.mpf_convert_rhs(0), mpf.mpf_convert_rhs(1),
+                  from_float(1e-3), from_float(2.0**-30), _wide_third()]
+
+
+def raw_epsilons(d):
+    """Thresholds that exercise every comparison of a symbol read at ``d``:
+    the fixed ones, and |d| itself, just above and just below it."""
+    if not d[1]:
+        return FIXED_EPSILONS
+    _, man, exp, _ = d
+    return FIXED_EPSILONS + [from_man_exp(man, exp), from_man_exp(2 * man + 1, exp - 1),
+                             from_man_exp(2 * man - 1, exp - 1)]
+
+
+class TestIntegerOrbit:
+    """The integer orbit and its symbols are libmp's mpf calls, bit for bit."""
+
+    PRECISIONS = list(range(2, 131)) + [333, 1100]
+
+    @staticmethod
+    def check_orbit(r, prec, steps=64):
+        """Compare ``steps`` orbit values and their symbols with the libmp oracle."""
+        got = locator._orbit(r, prec)
+        for i, d in zip(range(steps), libmp_orbit(r, prec)):
+            m, e = next(got)
+            assert from_man_exp(m, e) == d, (prec, r, i)
+            for eps in raw_epsilons(d) if i % 5 == 0 else FIXED_EPSILONS[:1]:
+                _, eps_m, eps_e, _ = eps
+                assert locator._symbol(m, e, eps_m, eps_e) == libmp_symbol(d, eps, prec), (
+                    prec, r, i, eps)
+
+    def test_matches_libmp_at_every_precision(self):
+        rng = random.Random(20261019)
+        for prec in self.PRECISIONS:
+            for r in raw_params(prec, rng):
+                self.check_orbit(r, prec)
+
+    def test_reaches_zero_at_four(self):
+        # x = 1 at step 1 and 0 from then on, at every precision
+        for prec in self.PRECISIONS:
+            orbit = itertools.islice(locator._orbit(from_float(4.0), prec), 64)
+            assert [from_man_exp(m, e) for m, e in orbit] == [fhalf] + [from_float(-0.5)] * 63
+
+    def test_dead_band_at_the_exact_distance(self):
+        # |d| equal to eps reads C and the next value up or down decides it
+        rng = random.Random(7)
+        for prec in (2, 3, 24, 53, 54, 113):
+            r = raw_params(prec, rng)[0]
+            orbit = itertools.islice(locator._orbit(r, prec), 20)
+            for (m, e), d in zip(orbit, libmp_orbit(r, prec)):
+                _, man, exp, _ = d
+                assert locator._symbol(m, e, man, exp) == "C"
+                assert locator._symbol(m, e, 2 * man - 1, exp - 1) in "RL"
+                assert locator._symbol(m, e, 2 * man + 1, exp - 1) == "C"
+
+    @pytest.mark.parametrize("kwargs, least", [
+        ({}, 100), ({"eps": 0}, 100), ({"dps": 9, "tol": 1e-9, "eps": 1e-9}, 100),
+        ({"tol": 1e-3, "eps": 1e-5}, 30), ({"dps": 2, "tol": 1e-2, "eps": 1e-2}, 5),
+    ])
+    def test_probe_matches_libmp_at_search_midpoints(self, monkeypatch, kwargs, least):
+        # Every bracket midpoint a real search visits, whichever stage
+        # decides it, probed at the search's precision: verdicts, and each
+        # closing gap as a raw tuple.
+        mids = []
+        replay = locator._replay
+        monkeypatch.setattr(locator, "_replay",
+                            lambda cert, mid: mids.append(mid) or replay(cert, mid))
+        for name in ("_probe_float", "_probe_fixed"):
+            monkeypatch.setattr(locator, name, lambda mid, *args, _f=getattr(locator, name):
+                                mids.append(mid) or _f(mid, *args))
+        words = ["RLC", "RLRRRLRC", extremal(12), "RLRRRRRRLRLRRRC", extremal(30)]
+        matched = 0
+        for word in words:
+            ctx = mpmath.ctx_mp.MPContext()
+            ctx.dps = kwargs.get("dps") or default_args(len(word), kwargs.get("tol", 1e-13))["dps"]
+            del mids[:]
+            try:
+                locate(word, **kwargs)
+            except LocateError:
+                pass
+            prefix, signs = word[:-1], sign_sequence(word[:-1] + "R")
+            eps = mpf_pos(from_float(kwargs.get("eps", 1e-12)), ctx.prec, round_nearest)
+            for mid in mids:
+                r = from_float(mid) if isinstance(mid, float) else mid
+                got = _probe(r, prefix, signs, eps, ctx.prec)
+                assert got == libmp_probe(r, prefix, signs, eps, ctx.prec), (word, mid)
+                matched += got[0] == _MATCHED
+            for mid in mids[::9]:
+                self.check_orbit(from_float(mid) if isinstance(mid, float) else mid, ctx.prec)
+        assert matched > least  # probes that read a closing gap
+
+    @pytest.mark.parametrize("prec", [2, 7, 24, 53, 100, 333])
+    def test_itinerary_matches_libmp(self, prec):
+        # an mpf parameter at its context's precision, with one longer
+        # mantissa than that precision, and eps of every accepted type
+        ctx = mpmath.ctx_mp.MPContext()
+        ctx.prec = prec
+        wide = mpmath.ctx_mp.MPContext()
+        wide.prec = 400
+        rng = random.Random(prec)
+        params = [ctx.mpf(3) + ctx.mpf(rng.random()) for _ in range(5)] + [ctx.mpf(4)]
+        long = ctx.make_mpf(raw_params(prec, rng)[-1])
+        for r in params + [long]:
+            orbit = libmp_orbit(r._mpf_, prec)
+            distances = [next(orbit) for _ in range(70)]
+            at = mpf_abs(distances[9])  # |d| itself, as a float when it fits in one
+            exact = [ctx.make_mpf(at)] + ([to_float(at)] if prec <= 53 else [])
+            for eps in [0, 1, 1e-3, wide.mpf(1) / 10**6] + exact:
+                eps_raw = mpf.mpf_convert_rhs(eps)
+                want = "".join(libmp_symbol(d, eps_raw, prec) for d in distances)
+                assert itinerary(r, 70, eps) == want, (prec, r, eps)
