@@ -29,6 +29,7 @@ from typing import Optional
 
 from .errors import NotMssError, ShapeError
 from .sequences import AdmissibleSeq, SeqLike, _shift_maximal_word, as_sequence, is_shift_maximal
+from .sequences import _admitted
 from .structure import _decompose
 
 __all__ = [
@@ -75,7 +76,7 @@ def compose(inner: SeqLike, outer: SeqLike) -> AdmissibleSeq:
     letters = b.body
     if r_parity(a) is Parity.ODD:
         letters = letters.translate(_FLIP)
-    out = AdmissibleSeq(stem + stem.join(letters) + stem + "C")
+    out = _admitted(stem + stem.join(letters) + stem + "C")  # R and L bodies, one C
     assert out.period == a.period * b.period
     return out
 
@@ -87,7 +88,8 @@ def _split_at(word: str, h: int) -> Optional[tuple[str, str]]:
     final C; the stem is the first h-1 symbols, and the word must be the
     stem repeated around every letter, as :func:`compose` builds it.
     Returns (inner, outer) symbol strings when it is and both recovered
-    sequences are shift-maximal."""
+    sequences are shift-maximal; ``compose(inner, outer)`` is then the
+    word, since flipping the letters twice restores them."""
     stem = word[: h - 1]
     letters = word[h - 1 : -1 : h]
     if stem + stem.join(letters) + stem + "C" != word:
@@ -120,9 +122,7 @@ def _divisor_scan(s: AdmissibleSeq):
             continue
         split = _split_at(s.symbols, h)
         if split is not None:
-            inner, outer = AdmissibleSeq(split[0]), AdmissibleSeq(split[1])
-            assert compose(inner, outer).symbols == s.symbols
-            yield inner, outer
+            yield _admitted(split[0]), _admitted(split[1])
 
 
 def factor_once(seq: SeqLike) -> Optional[tuple[AdmissibleSeq, AdmissibleSeq]]:
@@ -276,8 +276,8 @@ def factor_interleaved_core(seq: SeqLike) -> tuple[AdmissibleSeq, AdmissibleSeq]
             f"would carry an over-long L-run"
         )
 
-    inner = AdmissibleSeq(core + "C")
+    inner = _admitted(core + "C")
     # The core holds exactly one R, so recovered letters always flip.
-    outer = AdmissibleSeq(word[q : -1 : q + 1].translate(_FLIP) + "C")
+    outer = _admitted(word[q : -1 : q + 1].translate(_FLIP) + "C")  # nonempty: body[q] is in the slice
     assert compose(inner, outer).symbols == word
     return inner, outer

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from .errors import NotAdmissibleError
 from .sequences import (
     AdmissibleSeq,
+    _admitted,
     _shift_maximal_word,
     _sign_rank,
     decode_signs,
@@ -229,7 +230,7 @@ def enumerate_mss_structured(p: int) -> PeriodEnumeration:
         if form.group_count == 1 or _test_form(form, word).is_mss
     ]
     accepted.sort(key=_sign_rank)
-    return PeriodEnumeration(p, tuple(AdmissibleSeq(w) for w in accepted))
+    return PeriodEnumeration(p, tuple(map(_admitted, accepted)))
 
 
 def _bruteforce_words(p: int, prefix: str = "") -> list[str]:
@@ -263,4 +264,4 @@ def enumerate_mss_bruteforce(p: int, workers: int = 1) -> PeriodEnumeration:
     else:
         words = _bruteforce_words(p)
     words.sort(key=_sign_rank)
-    return PeriodEnumeration(p, tuple(AdmissibleSeq(w) for w in words))
+    return PeriodEnumeration(p, tuple(map(_admitted, words)))

@@ -257,7 +257,8 @@ def _probe(r: tuple, prefix: str, signs: tuple, eps: tuple, prec: int):
     return _MATCHED, from_man_exp(*next(orbit))
 
 
-def _probe_float(r: float, prefix: str, signs: tuple, eps: float, tol: float):
+def _probe_float(r: float, prefix: str, signs: tuple, eps: float, tol: float,
+                 eps_err: float = 0.0):
     """Float64 twin of :func:`_probe` that answers only when certain.
 
     Returns (verdict, matched): ``matched`` is True when every prefix
@@ -265,18 +266,20 @@ def _probe_float(r: float, prefix: str, signs: tuple, eps: float, tol: float):
     ``err`` bounds the distance from the float orbit to the exact one,
     which also bounds the far smaller error of the mpf orbit.  A step is
     decided only when every comparison clears its threshold by
-    2 * err + 2^-52; otherwise, and whenever the closing residual may be
-    below ``tol`` (only the mpf path ends the search), the verdict is
-    None.  A decided closing step reads the gap as R (signs[-1]) or L
-    (-signs[-1]).
+    2 * err + 2^-52, plus ``eps_err`` for the dead band, a bound on the
+    distance from ``eps`` to the value the mpf probe compares with;
+    otherwise, and whenever the closing residual may be below ``tol``
+    (only the mpf path ends the search), the verdict is None.  A decided
+    closing step reads the gap as R (signs[-1]) or L (-signs[-1]).
     """
     x = 0.5
     err = 0.0
+    slack = _COMPARE_SLACK + eps_err
     for i, want in enumerate(prefix):
         err = (r * (abs(1 - 2 * x) + err) * err + _STEP_ROUNDING) * _BOUND_INFLATION
         x = r * x * (1 - x)
         d = x - 0.5
-        if abs(abs(d) - eps) <= 2 * err + _COMPARE_SLACK:
+        if abs(abs(d) - eps) <= 2 * err + slack:
             return None, False
         if abs(d) <= eps:
             return _BELOW, False
@@ -555,6 +558,10 @@ def locate(
     prec = ctx.prec
     eps_mp = ctx.mpf(eps)._mpf_
     tol_mp = ctx.mpf(tol)._mpf_
+    eps_float, eps_err = eps, 0.0  # a float or int eps is eps_mp exactly (prec >= 53)
+    if hasattr(eps, "_mpf_"):  # float arithmetic in the float stage, off eps_mp by eps_err
+        eps_float = float(eps)
+        eps_err = eps_float * 2.0**-51 + 2.0**-1074
     bits = prec - _FIXED_GUARD_BITS
     eps_fix = to_fixed(eps_mp, bits)
     tol_fix = to_fixed(tol_mp, bits)
@@ -580,7 +587,7 @@ def locate(
             verdict = _replay(cert, mid)
             matched = verdict is not None
         if verdict is None and floating:
-            verdict, matched = _probe_float(mid, prefix, signs, eps, tol)
+            verdict, matched = _probe_float(mid, prefix, signs, eps_float, tol, eps_err)
         if verdict is None:
             verdict, matched = _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)
         if verdict is None:

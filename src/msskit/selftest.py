@@ -36,7 +36,7 @@ from .counting import (
 )
 from .errors import ShapeError
 from .generators import enumerate_mss_bruteforce, enumerate_mss_structured
-from .sequences import AdmissibleSeq, is_shift_maximal, is_shift_maximal_signs
+from .sequences import _admitted, is_shift_maximal, is_shift_maximal_signs
 from .structure import is_mss_structured
 
 __all__ = ["CheckResult", "SUITES", "run_selftest"]
@@ -76,7 +76,7 @@ class _Run:
 
     def sequences(self, p: int):
         """The structured words of period p as :class:`AdmissibleSeq`."""
-        return map(AdmissibleSeq, self.structured(p))
+        return map(_admitted, self.structured(p))
 
     def bruteforce(self, p: int) -> list[str]:
         words = self._bruteforce.pop(p, None)
@@ -90,7 +90,7 @@ class _Run:
 
 def _all_candidates(p: int):
     for mid in itertools.product("RL", repeat=p - 2):
-        yield AdmissibleSeq("R" + "".join(mid) + "C")
+        yield _admitted("R" + "".join(mid) + "C")
 
 
 def _suite_oracle(run: _Run) -> list[CheckResult]:

@@ -26,14 +26,17 @@ compared as bytes after zero padding, as the structured test of
 each act as an oracle for the other.
 
 Input text may compress letter runs as ``RL^4RC``; see
-:func:`parse_sequence`.
+:func:`parse_sequence`.  A word is validated once, where it enters the
+package (:func:`parse_sequence`, :func:`as_sequence` or the
+:class:`AdmissibleSeq` constructor).  Words built admissible by
+construction (enumerated rows, compositions, factors) are wrapped by the
+private :func:`_admitted`, which checks nothing.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -64,8 +67,6 @@ _R_TWOS = bytes.maketrans(b"RLC", b"\x02\x00\x00")
 _C_ONES = bytes.maketrans(b"RLC", b"\x00\x00\x01")
 _NEGATE = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # -1 <-> +1 in _signs' bytes
 
-_RUNS_RE = re.compile(r"(?:[RLC](?:\^\d+)?)*")  # the grammar, matched as a prefix
-_POWER_RE = re.compile(r"([RLC])\^(\d+)")
 _MAX_LENGTH = 10**6  # longest word run notation may expand to
 _MAX_DIGITS = len(str(_MAX_LENGTH))
 _TOO_LONG = f"run notation expands to more than {_MAX_LENGTH} symbols"
@@ -86,28 +87,56 @@ def expand_exponents(text: str) -> str:
 
     Grammar: a sequence of letters R/L/C, each optionally followed by
     ``^k`` with k a positive decimal integer.  A plain word of R, L and
-    C alone is returned as it is, without running the grammar.  A word
-    longer than ``_MAX_LENGTH`` symbols is rejected before any run is
-    built, and an exponent reaches ``int()`` only when it has at most
-    ``_MAX_DIGITS`` digits besides its leading zeros.  A zero exponent is
-    reported first, then a syntax error, then the length.
+    C alone is returned as it is.  Otherwise one scan splits the text at
+    its carets: letters first, then each piece is an exponent's digits
+    and the letters after it.  A word longer than ``_MAX_LENGTH``
+    symbols is rejected before any run is built, and an exponent reaches
+    ``int()`` only when it has at most ``_MAX_DIGITS`` digits besides its
+    leading zeros.  A zero exponent is reported first, then a syntax
+    error, then the length.  Anything but a ``str`` raises ``TypeError``.
     """
-    if isinstance(text, str) and not text.strip("RLC"):  # plain word
+    if not isinstance(text, str):
+        raise TypeError(f"run notation must be a str, got {type(text).__name__}")
+    tail = text.lstrip("RLC")
+    if not tail:  # plain word
         if len(text) > _MAX_LENGTH:
             raise NotAdmissibleError(_TOO_LONG)
         return text
-    head = _RUNS_RE.match(text).group()
-    parts = _POWER_RE.split(head)  # plain letters, then (letter, exponent, plain letters)*
-    counts = [int(d) if len(d) <= _MAX_DIGITS else _long_exponent(d) for d in parts[2::3]]
+    if tail[0] != "^":
+        raise _syntax_error(text)
+    word = text[: len(text) - len(tail)]  # the letters before the current caret
+    words, counts = [], []
+    for piece in tail[1:].split("^"):
+        digits = piece.rstrip("RLC")
+        if not (word and digits.isdecimal()):
+            raise _syntax_error(text)
+        counts.append(int(digits) if len(digits) <= _MAX_DIGITS else _long_exponent(digits))
+        words.append(word)
+        word = piece[len(digits):]
     if 0 in counts:
         raise NotAdmissibleError(f"exponent must be positive in {text!r}")
-    if len(head) != len(text):
-        raise NotAdmissibleError(f"cannot parse {text!r} at offset {len(head)}")
-    if sum(map(len, parts[::3])) + sum(counts) > _MAX_LENGTH:
+    if sum(map(len, words)) + len(word) - len(counts) + sum(counts) > _MAX_LENGTH:
         raise NotAdmissibleError(_TOO_LONG)
-    parts[1::3] = map(operator.mul, parts[1::3], counts)  # each letter becomes its run
-    del parts[2::3]
-    return "".join(parts)
+    return "".join([w + w[-1] * (n - 1) for w, n in zip(words, counts)]) + word
+
+
+def _syntax_error(text: str) -> NotAdmissibleError:
+    """The error for run notation outside the grammar: a zero exponent in
+    the prefix the grammar matches, else the offset where that prefix ends."""
+    word, *pieces = text.split("^")
+    end = len(word) - len(word.lstrip("RLC"))
+    for piece in pieces if end == len(word) else ():
+        n = next((i for i, ch in enumerate(piece) if not ch.isdecimal()), len(piece))
+        if not (word and n):  # a caret after no letter, or before no digit
+            break
+        if (int(piece[:n]) if n <= _MAX_DIGITS else _long_exponent(piece[:n])) == 0:
+            return NotAdmissibleError(f"exponent must be positive in {text!r}")
+        word = piece[n:]
+        bad = word.lstrip("RLC")
+        end += 1 + len(piece) - len(bad)
+        if bad:
+            break
+    return NotAdmissibleError(f"cannot parse {text!r} at offset {end}")
 
 
 def _long_exponent(digits: str) -> int:
@@ -128,6 +157,9 @@ class AdmissibleSeq:
 
     Minimum length is 2 ("RC"); the period-1 word "C" is handled as a
     degenerate special case by the locator only and is rejected here.
+    The constructor validates its word, and :meth:`parse` checks once the
+    word it expands.  Words the package builds admissible by construction
+    skip the check through :func:`_admitted`.
     """
 
     symbols: str
@@ -143,7 +175,11 @@ class AdmissibleSeq:
 
     @classmethod
     def parse(cls, text: str) -> "AdmissibleSeq":
-        return cls(expand_exponents(text))
+        """Expand run notation and validate the word, once."""
+        word = expand_exponents(text)  # a word of R, L and C
+        if cls is AdmissibleSeq and word.find("C") == len(word) - 1 > 0:  # one C, at the end
+            return _admitted(word)
+        return cls(word)  # validates, raising the constructor's own messages
 
     @property
     def period(self) -> int:
@@ -164,6 +200,16 @@ class AdmissibleSeq:
         return len(self.symbols)
 
 
+def _admitted(word: str) -> AdmissibleSeq:
+    """:class:`AdmissibleSeq` of ``word`` without validation.
+
+    Precondition: ``word`` is admissible (R and L only, then one final C,
+    length >= 2), as the caller has built or checked it."""
+    seq = object.__new__(AdmissibleSeq)
+    object.__setattr__(seq, "symbols", word)
+    return seq
+
+
 SeqLike = Union[AdmissibleSeq, str]
 
 
@@ -176,6 +222,8 @@ def as_sequence(seq: SeqLike) -> AdmissibleSeq:
     """Coerce a str (run notation allowed) or pass through an AdmissibleSeq."""
     if isinstance(seq, AdmissibleSeq):
         return seq
+    if not isinstance(seq, str):
+        raise TypeError(f"a sequence must be a str or AdmissibleSeq, got {type(seq).__name__}")
     return AdmissibleSeq.parse(seq)
 
 

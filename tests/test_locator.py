@@ -228,6 +228,10 @@ class TestLocate:
             locate(extremal(34), dps=30)
 
 
+MP40 = mpmath.mp.clone()  # an mpf from here carries 136 bits
+MP40.dps = 40
+
+
 def _as_tuple(found):
     return found.sequence, found.r_star, found.residual, found.iterations
 
@@ -251,6 +255,45 @@ class TestFloatStage:
             for offset in (-1e-15, 0.0, 1e-15):
                 verdict = _probe_float(r_star + offset, prefix, signs, 1e-12, 1e-13)
                 assert verdict == (None, True), (word, offset)
+
+    @pytest.mark.parametrize("eps", [mpf("1e-12"), mpf(0), MP40.mpf("1e-12"), MP40.mpf("3e-13")],
+                             ids=["53-bit", "zero", "136-bit", "136-bit-3e-13"])
+    def test_identical_to_mpf_bisection_at_an_mpf_eps(self, eps):
+        # The float stage compares a float near an mpf eps and widens its
+        # dead band by the difference; the steps stay the mpf bisection's.
+        for word in period_words(10):
+            expected = mpf_bisection(word, eps=eps, dps=default_dps(len(word)))
+            assert tuple(map(repr, _as_tuple(locate(word, eps=eps)))) == tuple(map(repr, expected))
+
+    def test_mpf_eps_keeps_the_float_stage_in_float_arithmetic(self, monkeypatch):
+        compared = Counter()
+        runs = []  # one entry per float-stage call in progress
+        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__sub__", "__rsub__"):
+            def counted(a, b, _name=name, _method=getattr(_mpf, name)):
+                if runs:
+                    compared[_name] += 1
+                return _method(a, b)
+
+            monkeypatch.setattr(_mpf, name, counted)
+        probe = locator._probe_float
+        stage_calls = []
+
+        def float_stage(*args):
+            runs.append(True)
+            stage_calls.append(args[0])
+            try:
+                return probe(*args)
+            finally:
+                runs.pop()
+
+        monkeypatch.setattr(locator, "_probe_float", float_stage)
+        for eps in (mpf("1e-12"), MP40.mpf("1e-12")):
+            for word in ["RLC", "RLRRRLRC", extremal(22)]:
+                locate(word, eps=eps)
+        assert len(stage_calls) > 100
+        assert compared == Counter()
+        float_stage(3.5, "RL", (1, 1, 1), mpf("1e-12"), 1e-13)  # the counter sees an mpf eps
+        assert compared["__rsub__"] > 0
 
     def test_threads_stay_independent(self):
         # Each thread works at its own precision, low enough to show in the

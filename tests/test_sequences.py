@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -11,9 +12,16 @@ from msskit import (
     AdmissibleSeq,
     NotAdmissibleError,
     Ordering,
+    ShapeError,
+    compose,
     compress_exponents,
     decode_signs,
+    enumerate_mss_bruteforce,
+    enumerate_mss_structured,
     expand_exponents,
+    factor_all,
+    factor_interleaved_core,
+    factor_tree,
     is_shift_maximal,
     is_shift_maximal_signs,
     max_l_run,
@@ -24,6 +32,8 @@ from msskit import (
     sign_sequence,
     sort_parity_lex,
 )
+from msskit.selftest import run_selftest
+from msskit.sequences import _admitted, as_sequence
 
 from conftest import all_candidates, brute_parity_lex_less
 
@@ -94,6 +104,33 @@ class TestParsing:
     def test_matches_grammar(self, text):
         assert outcome(expand_exponents, text) == outcome(grammar_expand, text)
         assert outcome(AdmissibleSeq.parse, text) == outcome(grammar_parse, text)
+
+    def test_matches_grammar_exhaustively(self):
+        # Every string over R, L, C, ^, 0, 1 and a foreign letter up to length
+        # 6: the offsets of syntax errors and the zero -> syntax -> length order.
+        for n in range(7):
+            for chars in itertools.product("RLC^0x1", repeat=n):
+                text = "".join(chars)
+                assert outcome(expand_exponents, text) == outcome(grammar_expand, text), text
+                assert outcome(AdmissibleSeq.parse, text) == outcome(grammar_parse, text), text
+
+    def test_reads_every_decimal_digit_as_the_grammar_does(self):
+        # \d and int() take any Unicode decimal digit, such as ARABIC-INDIC THREE
+        three, zero = "٣", "٠"
+        for text in [f"R^{three}C", f"R^1{three}LC", f"R^{zero}C", f"R^{three}", f"R^{three}xC",
+                     f"R^{zero}{three}^2C", "R^²C"]:
+            assert outcome(expand_exponents, text) == outcome(grammar_expand, text), text
+        assert expand_exponents(f"R^{three}C") == "RRRC"
+
+    @pytest.mark.parametrize("value", [b"RLC", None, 12, ["R", "C"]])
+    def test_rejects_what_is_not_a_str(self, value):
+        name = type(value).__name__
+        with pytest.raises(TypeError, match=f"run notation must be a str, got {name}$"):
+            expand_exponents(value)
+        with pytest.raises(TypeError, match=f"run notation must be a str, got {name}$"):
+            parse_sequence(value)
+        with pytest.raises(TypeError, match=f"must be a str or AdmissibleSeq, got {name}$"):
+            as_sequence(value)
 
     def test_expand(self):
         assert expand_exponents("RL^2RC") == "RLLRC"
@@ -313,6 +350,55 @@ class TestHelpers:
         assert s.body == "RLLR"
         assert len(s) == 5
         assert s.compressed() == "RL^2RC"
+
+
+
+class TestAdmittedWords:
+    """Words the package builds admissible are not validated again, and
+    every one of them would pass the validation."""
+
+    def test_words_built_admissible_are_not_validated(self, monkeypatch):
+        checked = []
+        check = AdmissibleSeq.__post_init__
+        monkeypatch.setattr(AdmissibleSeq, "__post_init__",
+                            lambda seq: checked.append(seq.symbols) or check(seq))
+        enumerate_mss_structured(12)
+        run_selftest(pmax=10, suites="oracle")
+        parse_sequence("RL^2RC")
+        assert checked == []
+        with pytest.raises(NotAdmissibleError):
+            parse_sequence("RL^2CC")  # a failing parse raises the constructor's message
+        AdmissibleSeq("RLC")
+        assert checked == ["RLLCC", "RLC"]
+
+    def test_every_admitted_word_is_admissible(self, monkeypatch):
+        admitted = []
+
+        def validating(word):
+            admitted.append(word)
+            return AdmissibleSeq(word)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("msskit") and vars(module).get("_admitted") is _admitted:
+                monkeypatch.setattr(module, "_admitted", validating)
+        mss = {}
+        for p in range(2, 13):
+            mss[p] = enumerate_mss_structured(p).words()
+            assert enumerate_mss_bruteforce(p).words() == mss[p]
+        for pa, pb in itertools.product(mss, repeat=2):
+            for a, b in itertools.product(mss[pa], mss[pb]) if pa * pb <= 24 else ():
+                composed = compose(a, b)
+                factor_tree(composed)
+                assert all(compose(*split) == composed for split in factor_all(composed))
+        big = "RL^4RL^3RRL^3RRL^4RL^4RL^4RL^3RRL^3C"
+        for word in [big, "RL^2RLRRL^2RLC", *(w for p in range(2, 17)
+                                             for w in enumerate_mss_structured(p).words())]:
+            try:
+                factor_interleaved_core(word)
+            except ShapeError:
+                pass
+        assert all(result.ok for result in run_selftest(pmax=10))
+        assert len(admitted) > 20_000
 
 
 # The per-symbol loops that the bytes and str kernels replaced, kept here
