@@ -81,7 +81,7 @@ from mpmath.libmp import (
 
 from .errors import LocateError, NotMssError
 from .sequences import SeqLike, as_sequence, expand_exponents, is_shift_maximal, sign_sequence
-from .sequences import _signs
+from .sequences import _checked, _signs
 
 __all__ = [
     "MapParam",
@@ -541,10 +541,12 @@ def locate(
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     if isinstance(seq, str):
-        seq = expand_exponents(seq)  # so that "C^1" is the period-1 word too
-        if seq == "C":
+        word = expand_exponents(seq)  # so that "C^1" is the period-1 word too
+        if word == "C":
             return LocatedSequence("C", mpf(2), 0.0, 0)
-    s = as_sequence(seq)
+        s = _checked(word)
+    else:
+        s = as_sequence(seq)
     if not s.symbols.startswith("R") or not is_shift_maximal(s):
         raise NotMssError(f"{s} is not an MSS-sequence")
     p = s.period

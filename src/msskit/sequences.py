@@ -140,10 +140,13 @@ def _syntax_error(text: str) -> NotAdmissibleError:
 
 
 def _long_exponent(digits: str) -> int:
-    """Value of an exponent written with more than ``_MAX_DIGITS`` digits, or
-    ``_MAX_LENGTH + 1`` when more than that many remain after its leading zeros."""
-    digits = digits.lstrip("0")
-    return int(digits or 0) if len(digits) <= _MAX_DIGITS else _MAX_LENGTH + 1
+    """Value of an exponent written with more than ``_MAX_DIGITS`` decimal
+    digits (of any script), or ``_MAX_LENGTH + 1`` when a digit before its
+    last ``_MAX_DIGITS`` is not a zero."""
+    head = digits[:-_MAX_DIGITS].lstrip("0")  # ASCII zeros at once, other zeros one by one
+    if any(map(int, head)):
+        return _MAX_LENGTH + 1
+    return int(digits[-_MAX_DIGITS:])
 
 
 def compress_exponents(word: str) -> str:
@@ -166,6 +169,8 @@ class AdmissibleSeq:
 
     def __post_init__(self):
         s = self.symbols
+        if not isinstance(s, str):
+            raise TypeError(f"AdmissibleSeq symbols must be a str, got {type(s).__name__}")
         if len(s) < 2:
             raise NotAdmissibleError(f"{s!r}: admissible sequences have length >= 2")
         if s[-1] != "C":
@@ -177,9 +182,7 @@ class AdmissibleSeq:
     def parse(cls, text: str) -> "AdmissibleSeq":
         """Expand run notation and validate the word, once."""
         word = expand_exponents(text)  # a word of R, L and C
-        if cls is AdmissibleSeq and word.find("C") == len(word) - 1 > 0:  # one C, at the end
-            return _admitted(word)
-        return cls(word)  # validates, raising the constructor's own messages
+        return _checked(word) if cls is AdmissibleSeq else cls(word)
 
     @property
     def period(self) -> int:
@@ -208,6 +211,14 @@ def _admitted(word: str) -> AdmissibleSeq:
     seq = object.__new__(AdmissibleSeq)
     object.__setattr__(seq, "symbols", word)
     return seq
+
+
+def _checked(word: str) -> AdmissibleSeq:
+    """:class:`AdmissibleSeq` of a word of R, L and C, such as :func:`expand_exponents`
+    returns: one ``find`` admits it, else the constructor raises its own error."""
+    if word.find("C") == len(word) - 1 > 0:  # one C, at the end
+        return _admitted(word)
+    return AdmissibleSeq(word)
 
 
 SeqLike = Union[AdmissibleSeq, str]
@@ -261,15 +272,25 @@ def _signs(word: str) -> bytes:
 
     Entry i is +1 when ``word[: i + 1]`` holds an odd number of Rs: XORing
     2 per R into every later byte (log2 p shifts of one int) gives 2 or 0,
-    and each C, which flips nothing, then becomes 1."""
+    and each C, which flips nothing, then becomes 1.  Fast path: a word
+    with no C (the empty word too) is done after the XOR, and one whose
+    only C is its last symbol, as in every admissible sequence, just sets
+    its last byte to 1.  Only a word with a C before its last symbol
+    builds the C mask."""
     raw = word.encode()
+    size = len(raw)
     n = int.from_bytes(raw.translate(_R_TWOS), "big")
     step = 8
-    while step < 8 * len(raw):
+    while step < 8 * size:
         n ^= n >> step
         step <<= 1
+    c_at = word.find("C")
+    if c_at < 0:
+        return n.to_bytes(size, "big")
+    if c_at == size - 1:
+        return ((n & -256) | 1).to_bytes(size, "big")
     c = int.from_bytes(raw.translate(_C_ONES), "big")
-    return ((n & ~(c << 1)) | c).to_bytes(len(raw), "big")
+    return ((n & ~(c << 1)) | c).to_bytes(size, "big")
 
 
 def _shift_below(sig: bytes, neg: bytes, k: int) -> bool:

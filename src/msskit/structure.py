@@ -30,10 +30,15 @@ interior block goes through :func:`parity_lex_cmp`, reversed when beta,
 the count of Rs before it, is odd, and the first diverging head exponent
 through its parity rule.  Any disagreement raises, rather than silently
 preferring one route.
+
+Verdicts are immutable values that callers may share: every accept is one
+object, and rejections come from a bounded table keyed by failing shift
+and rule, so a walk over many candidates builds few verdicts.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -172,11 +177,21 @@ def check_block_constraints(form: BlockForm) -> bool:
 
 @dataclass(frozen=True)
 class StructuredVerdict:
-    """Outcome of the structured test, with the first failing shift when negative."""
+    """Outcome of the structured test, with the first failing shift when negative;
+    an immutable value, so equal verdicts may be one shared object."""
 
     is_mss: bool
     failing_shift: Optional[int] = None
     failing_rule: Optional[str] = None
+
+
+_ACCEPT = StructuredVerdict(True)
+
+
+@functools.lru_cache(maxsize=1024)
+def _rejected(failing_shift: int, failing_rule: str) -> StructuredVerdict:
+    """The shared verdict rejecting at ``failing_shift`` by ``failing_rule``."""
+    return StructuredVerdict(False, failing_shift, failing_rule)
 
 
 def _group_rule(form: BlockForm, k: int):
@@ -232,21 +247,17 @@ def is_mss_structured(seq: SeqLike) -> StructuredVerdict:
         raise NotAdmissibleError(f"{s}: MSS candidates start with R")
     form = _decompose(s.body)
     if isinstance(form, int):
-        return StructuredVerdict(False, failing_shift=form, failing_rule=RULE_RUN_BOUND)
+        return _rejected(form, RULE_RUN_BOUND)
 
     q = form.q
     n1 = form.runs[0][0]
     if n1 >= 2:
-        return StructuredVerdict(
-            False, failing_shift=(n1 - 1) * (q + 1), failing_rule=RULE_HEAD_EXPONENT
-        )
+        return _rejected((n1 - 1) * (q + 1), RULE_HEAD_EXPONENT)
     r = form.group_count
     if r >= 2 and form.runs[-1][1] == "":
-        return StructuredVerdict(
-            False, failing_shift=s.period - (q + 2), failing_rule=RULE_EMPTY_TAIL
-        )
+        return _rejected(s.period - (q + 2), RULE_EMPTY_TAIL)
     if r == 1:
-        return StructuredVerdict(True)
+        return _ACCEPT
     return _test_form(form, s.symbols)
 
 
@@ -272,5 +283,5 @@ def _test_form(form: BlockForm, word: str) -> StructuredVerdict:
                 f"{'pass' if below else 'fail'}"
             )
         if not below:
-            return StructuredVerdict(False, failing_shift=shift_at, failing_rule=rule)
-    return StructuredVerdict(True)
+            return _rejected(shift_at, rule)
+    return _ACCEPT

@@ -1,6 +1,7 @@
 """CLI behavior: formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -370,6 +371,21 @@ class TestUsageErrors:
 @pytest.mark.parametrize("argv", sorted(CLI_GOLDEN))
 def test_cli_golden(capsys, argv):
     assert list(run_cli(capsys, *argv.split())) == CLI_GOLDEN[argv]
+
+
+# SHA-256 of the stdout the benchmark pins for its CLI workloads
+# (bench/workloads.py), so that a byte change fails here too.
+BENCHMARK_DIGESTS = {
+    "selftest --pmax 16": "7a9e2cab7b69533e05f3142469423b8ac781e2115dd0c1bc95a0bc808370c02e",
+    "verify-order --pmax 12": "3f8f9891511651d3a456135157cfcdd9280b523773a85f0caf1d239e772f454d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_digest(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_DIGESTS[argv]
 
 
 class TestModuleEntryPoint:

@@ -161,6 +161,21 @@ class TestLocate:
     def test_degenerate_period_one_in_run_notation(self):
         assert _as_tuple(locate("C^1")) == _as_tuple(locate("C")) == ("C", 2, 0.0, 0)
 
+    def test_parses_a_str_once(self, monkeypatch):
+        from msskit import sequences
+
+        calls = []
+        expand = sequences.expand_exponents
+
+        def counted(text):
+            calls.append(text)
+            return expand(text)
+
+        monkeypatch.setattr(sequences, "expand_exponents", counted)
+        monkeypatch.setattr(locator, "expand_exponents", counted)
+        assert locate("RL^2C").sequence == "RLLC"
+        assert calls == ["RL^2C"]
+
     def test_rc_closed_form(self):
         found = locate("RC")
         assert abs(float(found.r_star) - (1 + math.sqrt(5))) < 1e-10

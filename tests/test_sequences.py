@@ -118,9 +118,13 @@ class TestParsing:
         # \d and int() take any Unicode decimal digit, such as ARABIC-INDIC THREE
         three, zero = "٣", "٠"
         for text in [f"R^{three}C", f"R^1{three}LC", f"R^{zero}C", f"R^{three}", f"R^{three}xC",
-                     f"R^{zero}{three}^2C", "R^²C"]:
+                     f"R^{zero}{three}^2C", "R^²C",
+                     # past _MAX_DIGITS digits, zeros of both scripts lead
+                     f"R^{zero * 9}1C", f"R^{zero * 3}{'0' * 6}{three}LC", f"R^0{zero}0{zero}{'0' * 5}2C",
+                     f"R^{zero * 9}C", f"R^{zero}1{'0' * 7}C", f"L^{'0' * 4}{zero * 4}999999C"]:
             assert outcome(expand_exponents, text) == outcome(grammar_expand, text), text
         assert expand_exponents(f"R^{three}C") == "RRRC"
+        assert expand_exponents(f"R^{zero * 9}1C") == "RC"
 
     @pytest.mark.parametrize("value", [b"RLC", None, 12, ["R", "C"]])
     def test_rejects_what_is_not_a_str(self, value):
@@ -131,6 +135,8 @@ class TestParsing:
             parse_sequence(value)
         with pytest.raises(TypeError, match=f"must be a str or AdmissibleSeq, got {name}$"):
             as_sequence(value)
+        with pytest.raises(TypeError, match=f"AdmissibleSeq symbols must be a str, got {name}$"):
+            AdmissibleSeq(value)
 
     def test_expand(self):
         assert expand_exponents("RL^2RC") == "RLLRC"
@@ -497,6 +503,30 @@ class TestKernelsMatchLoops:
         for _ in range(2000):  # C anywhere, and words that are not admissible
             word = "".join(rng.choice("RLC") for _ in range(rng.randint(0, 30)))
             assert sign_sequence(word) == loop_sign_sequence(word), word
+
+    def test_signs_fast_path_matches_general_formula(self):
+        # The general C mask, which _signs skips for a word with no C or
+        # one final C.
+        import random
+
+        from msskit.sequences import _signs
+
+        def general(word):
+            raw = word.encode()
+            n = int.from_bytes(raw.translate(bytes.maketrans(b"RLC", b"\x02\x00\x00")), "big")
+            step = 8
+            while step < 8 * len(raw):
+                n ^= n >> step
+                step <<= 1
+            c = int.from_bytes(raw.translate(bytes.maketrans(b"RLC", b"\x00\x00\x01")), "big")
+            return ((n & ~(c << 1)) | c).to_bytes(len(raw), "big")
+
+        every = ("".join(t) for n in range(10) for t in itertools.product("RLC", repeat=n))
+        rng = random.Random(9)
+        admissible = ("R" + "".join(rng.choice("RL") for _ in range(rng.randint(0, 198))) + "C"
+                      for _ in range(1000))
+        for word in itertools.chain(every, ["", "C"], admissible):
+            assert _signs(word) == general(word), word
 
     @pytest.mark.parametrize("word", ["X", "RLXC", "RLCyX", "R\nC", "RL C", "RLLé", "rlc"])
     def test_sign_sequence_names_the_first_bad_symbol(self, word):

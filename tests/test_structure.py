@@ -1,6 +1,7 @@
 """Block decomposition and the structured maximality test."""
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +167,35 @@ class TestStructuredVerdict:
                     parity_lex_cmp(shift(word, v.failing_shift), word)
                     is Ordering.GREATER
                 )
+
+
+class TestSharedVerdicts:
+    """Verdicts are shared values: every accept is one object, and each
+    rejection comes from a bounded table keyed by (failing shift, rule)."""
+
+    def test_shared_verdicts_equal_fresh_ones(self, monkeypatch):
+        from msskit import structure
+
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        import workloads  # the benchmark's seeded query-mix generator
+
+        words = [w for p in range(2, 15) for w in all_candidates(p)]
+        words += [args[0] for kind, args in workloads.query_mix(1)[0] if kind == "check"]
+        structure._rejected.cache_clear()
+        shared = [is_mss_structured(w) for w in words]
+        monkeypatch.setattr(structure, "_rejected", structure._rejected.__wrapped__)
+        fresh = [is_mss_structured(w) for w in words]
+        for word, v, ref in zip(words, shared, fresh):
+            assert (v.is_mss, v.failing_shift, v.failing_rule) == (
+                ref.is_mss, ref.failing_shift, ref.failing_rule), word
+            assert v.is_mss or v is not ref, word
+        # one object per distinct verdict, and far fewer than the words
+        assert len({id(v) for v in shared}) == len(set(shared)) < 200 < len(words)
+
+    def test_intern_table_is_bounded(self):
+        from msskit import structure
+
+        assert structure._rejected.cache_info().maxsize is not None
 
 
 class TestGeneratorHandoff:
