@@ -15,35 +15,33 @@ steers until the residual drops below tolerance.
 Near r = 4 the residual responds to parameter changes at a rate of order
 4^p, so with p = 7 or 8 one double-precision ulp in r already moves the
 residual by about 1e-13: float64 bisection cannot certify residuals at
-that tolerance (measured: best achievable 1.04e-13 for R L^5 C).  Most
-steps need no such precision, so each call runs three stages on one
-bisection path, each answering only what it can prove:
+that tolerance (measured: best achievable 1.04e-13 for R L^5 C).  The
+bracket is held as two integers on the 2^-g grid, g = prec - 2, which
+holds every mpf in [2, 4) at the working precision of prec bits; each
+midpoint is the sum rounded to prec bits, ties to even, then halved, as
+mpf arithmetic computes it.  Most steps need far less than prec bits, so
+each call runs two stages on one bisection path, each answering only
+what it can prove:
 
-1. float64: while the bracket is at least 2^-48 wide every midpoint is a
-   dyadic number exact in float64, and a float64 orbit that carries a
-   running bound on its own error decides every step whose comparisons
-   clear their thresholds by more than that bound.  The bound covers the
-   mpmath orbit only when that one is at least as accurate, so the stage
-   runs only at a working precision of 53 bits or more (dps >= 15);
-2. fixed point: on Python integers x = X / 2^P, with P four bits below
+1. fixed point: on Python integers x = X / 2^P, with P four bits below
    the mpmath working precision, a static bound of (4^i - 1)/3 units at
    step i covers this orbit and the mpmath one at any precision, so a
    step decided here is the step mpmath would take;
-3. mpmath extended precision (30 significant digits, more for long
-   periods) decides every step the other two leave open and is the only
+2. mpmath extended precision (30 significant digits, more for long
+   periods) decides every step the first leaves open and is the only
    stage that ends the search, so it computes every reported residual.
    Its orbit makes each of r x, 1 - x, their product and x - 1/2 with
    exact integer operations rounded to nearest-even at prec bits, which
    is what libmp's correctly rounded calls return: the bits of mpf
    arithmetic, without the object layer or libmp's call chain.
 
-A stage abstains instead of guessing, so every step goes the way an
-all-mpmath bisection takes it and the result (parameter, residual and
+The fixed stage abstains instead of guessing, so every step goes the way
+an all-mpmath bisection takes it and the result (parameter, residual and
 step count) is that bisection's, to the last bit, whichever stage
 decided each step.  In practice mpmath runs once per call, on the step
 that ends the search.
 
-Ahead of the three stages sits a root enclosure (interval Newton, after
+Ahead of the two stages sits a root enclosure (interval Newton, after
 R. E. Moore, *Interval Analysis*, 1966).  Once the whole prefix has
 matched at both ends of the bracket, the steps left are decided by the
 sign of the closing gap G(r) = f_r^p(1/2) - 1/2 alone.  The bracket is
@@ -53,14 +51,13 @@ prefix matches for every parameter in it, with the mpmath orbit within
 E_i of the exact one, and dG/dr keeps one sign inside a known range.
 Newton steps find a point near the root, and that range turns the gap
 there into points a < b with |G| above tol plus E_p at and beyond them.
-G being monotone, every later midpoint below a (above b), float or mpf,
-is a step the mpmath probe would take, with a gap beyond tol and the
-sign it has at a (at b); it is decided by one comparison.  Midpoints
-inside (a, b) go through the three stages, and mpmath alone still ends
-the search, so no result can change.  The enclosure is built from each
-call's own bracket, at every precision and period; after a failed
-attempt it waits as many halvings as the failing bound's ratio to its
-room asks for.
+G being monotone, every later midpoint below a (above b) is a step the
+mpmath probe would take, with a gap beyond tol and the sign it has at a
+(at b); it is decided by one comparison.  Midpoints inside (a, b) go
+through the two stages, and mpmath alone still ends the search, so no
+result can change.  The enclosure is built from each call's own
+bracket, at every precision and period; after a failed attempt it waits
+as many halvings as the failing bound's ratio to its room asks for.
 Located parameters are reported as mpmath floats; cast with float() for
 display.
 """
@@ -74,10 +71,8 @@ from typing import Optional, Union
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import (
-    from_float, from_man_exp, mpf_abs, mpf_add, mpf_lt, mpf_shift, round_ceiling, round_floor,
-    round_nearest, to_fixed, to_float,
-)
+from mpmath.libmp import from_float, from_man_exp, mpf_abs, mpf_lt, round_nearest
+from mpmath.libmp import to_fixed, to_float
 
 from .errors import LocateError, NotMssError
 from .sequences import SeqLike, as_sequence, expand_exponents, is_shift_maximal, sign_sequence
@@ -96,16 +91,6 @@ _DEFAULT_EPS = 1e-12
 _DEFAULT_TOL = 1e-13
 _MIN_DPS = 30
 _MIN_ITER = 200
-
-# Float stage.  Below a bracket width of 2^-48 midpoints in [3, 4] stop
-# being exact in float64.  One float64 step r*x*(1-x) with r <= 4 and x in
-# [0, 1] rounds by at most 3 * 2^-53 < 2^-50; the 1 + 2^-20 factor absorbs
-# the rounding of the error-bound update itself, and 2^-52 the rounding of
-# the comparisons.
-_FLOAT_WIDTH = 2.0**-48
-_STEP_ROUNDING = 2.0**-50
-_BOUND_INFLATION = 1 + 2.0**-20
-_COMPARE_SLACK = 2.0**-52
 
 # Fixed-point stage, in units of 2^-P with P = working precision - 4, so
 # that one mpmath step r*x*(1-x) errs by under one unit (see _probe_fixed).
@@ -145,6 +130,22 @@ def _check_eps(eps) -> None:
         raise TypeError(f"eps must be an int, float or mpf, got {type(eps).__name__}")
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+
+
+def _tol_scales(tol) -> tuple:
+    """ceil(-log10 tol) and ceil(-log2 tol), which size locate's default dps and max_iter.
+
+    An mpf ``tol`` below the float range is read at its exact value,
+    m 2^e with m odd; any other is read by math's logarithms.
+    """
+    if float(tol):
+        return math.ceil(-math.log10(tol)), math.ceil(-math.log2(tol))
+    _, man, exp, _ = tol._mpf_
+    halvings = 1 - exp - man.bit_length()  # 2^-halvings <= tol < 2^(1 - halvings)
+    digits = (halvings - 1) * 3 // 10  # below -log10 tol, as log10 2 > 0.3
+    while 10**digits * man < 1 << -exp:  # until 10^digits tol >= 1
+        digits += 1
+    return digits, halvings
 
 
 def itinerary(r: Param, steps: int, eps: float = _DEFAULT_EPS) -> str:
@@ -257,56 +258,15 @@ def _probe(r: tuple, prefix: str, signs: tuple, eps: tuple, prec: int):
     return _MATCHED, from_man_exp(*next(orbit))
 
 
-def _probe_float(r: float, prefix: str, signs: tuple, eps: float, tol: float,
-                 eps_err: float = 0.0):
-    """Float64 twin of :func:`_probe` that answers only when certain.
+def _probe_fixed(mid: int, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fix: int):
+    """Fixed-point twin of :func:`_probe` that answers only when certain.
 
-    Returns (verdict, matched): ``matched`` is True when every prefix
-    symbol agreed, so that only the closing gap was left to read.
-    ``err`` bounds the distance from the float orbit to the exact one,
-    which also bounds the far smaller error of the mpf orbit.  A step is
-    decided only when every comparison clears its threshold by
-    2 * err + 2^-52, plus ``eps_err`` for the dead band, a bound on the
-    distance from ``eps`` to the value the mpf probe compares with;
-    otherwise, and whenever the closing residual may be below ``tol``
-    (only the mpf path ends the search), the verdict is None.  A decided
-    closing step reads the gap as R (signs[-1]) or L (-signs[-1]).
-    """
-    x = 0.5
-    err = 0.0
-    slack = _COMPARE_SLACK + eps_err
-    for i, want in enumerate(prefix):
-        err = (r * (abs(1 - 2 * x) + err) * err + _STEP_ROUNDING) * _BOUND_INFLATION
-        x = r * x * (1 - x)
-        d = x - 0.5
-        if abs(abs(d) - eps) <= 2 * err + slack:
-            return None, False
-        if abs(d) <= eps:
-            return _BELOW, False
-        got = "R" if d > 0 else "L"
-        if got != want:
-            return -signs[i], False
-    err = (r * (abs(1 - 2 * x) + err) * err + _STEP_ROUNDING) * _BOUND_INFLATION
-    gap = r * x * (1 - x) - 0.5
-    if abs(gap) - tol <= 2 * err + _COMPARE_SLACK:
-        return None, True
-    return (signs[-1] if gap > 0 else -signs[-1]), True
-
-
-def _grid(v, bits: int) -> Optional[int]:
-    """v 2^bits for a float, mpf or raw mpf ``v`` >= 0 on the 2^-bits grid, else None."""
-    _, man, exp, _ = from_float(v) if isinstance(v, float) else getattr(v, "_mpf_", v)
-    return man << (exp + bits) if exp + bits >= 0 else None  # man is odd: off the grid
-
-
-def _probe_fixed(mid, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fix: int):
-    """Fixed-point twin of :func:`_probe_float`: it answers only when certain.
-
-    The orbit runs on integers X = x 2^bits at the midpoint ``mid`` (a
-    float, an mpf or a raw mpf tuple), which must be a multiple of
-    2^-bits; ``eps_fix`` and ``tol_fix`` are the mpmath thresholds in the
-    same units, floored.  The mpmath orbit is :func:`_orbit`'s, rounded
-    to nearest-even at prec bits as libmp's correctly rounded calls are.
+    The orbit runs on integers X = x 2^bits at the midpoint ``mid`` 2^-g,
+    g = bits + 2 (a bracket point of :func:`locate`), which must be a
+    multiple of 2^-bits; ``eps_fix`` and ``tol_fix`` are the mpmath
+    thresholds in units of 2^-bits, floored.  The mpmath orbit is
+    :func:`_orbit`'s, rounded to nearest-even at prec bits as libmp's
+    correctly rounded calls are.
     After step i this orbit and the mpmath one are each within ``err`` =
     E_i = (4^i - 1)/3 units of the exact one (E_{i+1} = 4 E_i + 1):
 
@@ -316,15 +276,17 @@ def _probe_fixed(mid, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fi
     - the floor adds under one unit per step, and the mpmath step, three
       roundings of values at most 4, under 9 * 2^-prec < one unit.
 
-    Returns (verdict, matched) as :func:`_probe_float` does.  A step is
-    decided only when every comparison clears its floored threshold by
+    Returns (verdict, matched): ``matched`` is True when every prefix
+    symbol agreed, so that only the closing gap was left to read.  A step
+    is decided only when every comparison clears its floored threshold by
     2 E_i + ``_FIXED_SLACK``; otherwise, when the midpoint is off the
-    grid, and whenever the closing residual may be below ``tol`` (only
-    the mpf path ends the search), the verdict is None.
+    2^-bits grid, and whenever the closing residual may be below ``tol``
+    (only the mpf path ends the search), the verdict is None.  A decided
+    closing step reads the gap as R (signs[-1]) or L (-signs[-1]).
     """
-    r_fix = _grid(mid, bits)
-    if r_fix is None:
+    if mid & 3:
         return None, False
+    r_fix = mid >> 2
     one = 1 << bits
     half = one >> 1
     shift = 2 * bits
@@ -369,12 +331,14 @@ def _halvings(needed: int, allowed: int):
     return (needed // allowed).bit_length() if allowed > 0 else math.inf
 
 
-def _certify(lo, hi, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fix: int):
-    """Certify the sign of the closing gap outside a small interval of [lo, hi].
+def _certify(lo_fix: int, hi_fix: int, prefix: str, signs: tuple, bits: int, eps_fix: int,
+             tol_fix: int):
+    """Certify the sign of the closing gap outside a small interval of the bracket.
 
-    G(r) = f_r^p(1/2) - 1/2.  One integer orbit X at the grid point c
-    nearest the centre of the bracket carries, in :func:`_probe_fixed`'s
-    units of 2^-bits, bounds over every r in it (|r - c| <= h): ``w`` on
+    G(r) = f_r^p(1/2) - 1/2, and the bracket and every bound below are in
+    :func:`_probe_fixed`'s units of 2^-bits.  One integer orbit X at the
+    grid point c nearest the centre of [lo_fix, hi_fix] carries bounds
+    over every r in it (|r - c| <= h): ``w`` on
     the distance from the exact orbit x_r at r to X, which grows per
     step by h x(1-x), plus c |1 - x_r - X| times itself, plus the floor;
     the static E_i on the distance from the mpf orbit at r to x_r; and
@@ -391,16 +355,12 @@ def _certify(lo, hi, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fix
     prefix and reads a gap beyond ``tol`` with the sign it has at a
     (at b), and the step is decided.
 
-    Returns (certificate, halvings).  The certificate is (a, b, a and b
-    as floats rounded outwards, verdict at or below a, verdict at or
-    above b, bits), or None when a bound fails.  ``halvings`` is how
-    many bracket halvings to wait before the next attempt can do
-    better: the failing bound's ratio to its room, or inf once t is as
-    close to the root as E_p lets the gap tell.
+    Returns (certificate, halvings).  The certificate is (a, b, verdict
+    below a, verdict at or above b), or None when a bound fails.
+    ``halvings`` is how many bracket halvings to wait before the next
+    attempt can do better: the failing bound's ratio to its room, or inf
+    once t is as close to the root as E_p lets the gap tell.
     """
-    lo_fix, hi_fix = _grid(lo, bits), _grid(hi, bits)
-    if lo_fix is None or hi_fix is None:  # no later bracket is back on the grid
-        return None, math.inf
     c = (lo_fix + hi_fix) >> 1
     h = hi_fix - c
     one = 1 << bits
@@ -457,21 +417,27 @@ def _certify(lo, hi, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fix
     b = t + k * one // (slope - dr if k > 0 else slope + dr) + 1
     if a <= lo_fix and b >= hi_fix:
         return None, wait
-    # float copies of a and b, rounded outwards, for the float stage's midpoints
-    a_float = to_float(from_man_exp(a, -bits), rnd=round_floor)
-    b_float = to_float(from_man_exp(b, -bits), rnd=round_ceiling)
-    return (a, b, a_float, b_float, -s * signs[-1], s * signs[-1], bits), wait
+    return (a, b, -s * signs[-1], s * signs[-1]), wait
 
 
-def _replay(cert: tuple, mid) -> Optional[int]:
-    """The certified verdict at a float or raw mpf midpoint, or None inside (a, b)."""
-    a, b, a_float, b_float, below, above, bits = cert
-    if isinstance(mid, float):
-        return below if mid < a_float else above if mid >= b_float else None
-    _, man, exp, _ = mid
-    shift = exp + bits
-    m = man << shift if shift >= 0 else man >> -shift  # floor(mid 2^bits)
+def _replay(cert: tuple, mid: int) -> Optional[int]:
+    """The certified verdict at the midpoint ``mid`` 2^-(bits + 2), or None inside (a, b)."""
+    a, b, below, above = cert
+    m = mid >> 2  # floor(mid 2^bits)
     return below if m < a else above if m >= b else None
+
+
+def _midpoint(lo: int, hi: int) -> int:
+    """The mpf midpoint of lo 2^-g < hi 2^-g in [3, 4], g = prec - 2, in units of 2^-g.
+
+    As ``mpf_shift(mpf_add(lo, hi, prec, round_nearest), -1)``: the sum,
+    in [6, 8), rounds to an even unit count, ties to even; halving is exact.
+    """
+    t = lo + hi
+    mid = t >> 1
+    if t & 1 and mid & 1:
+        mid += 1
+    return mid
 
 
 class _Contexts(threading.local):
@@ -510,18 +476,19 @@ def locate(
     max(30, ceil(p log10 4) + ceil(-log10 tol) + 8) significant digits,
     since the residual moves like 4^p per unit of r, and ``max_iter`` is
     max(200, 2p + ceil(-log2 tol) + 60) bisection steps, which is 200 at
-    the default ``tol`` for every p <= 48.  ``tol`` must be finite and
+    the default ``tol`` for every p <= 48; an mpf ``tol`` below the float
+    range is read at its exact value.  ``tol`` must be finite and
     positive, ``eps`` finite and >= 0, and an explicit ``dps`` or
     ``max_iter`` at least 1; anything else raises ``ValueError``.
 
-    Each bisection step is decided by the first of three stages that can
-    prove its verdict: a float64 probe (from dps 15 up), a fixed-point
-    integer probe at any ``dps``, whose error is at most (4^i - 1)/3 units
+    Each bisection step is decided by the first of two stages that can
+    prove its verdict: a fixed-point integer probe at the midpoint mpf
+    arithmetic rounds, whose error is at most (4^i - 1)/3 units
     after step i, and the mpmath probe at ``dps`` digits (see the module
-    docstring).  The first two abstain unless the mpmath probe would
+    docstring).  The first abstains unless the mpmath probe would
     certainly give the same verdict, and only the mpmath probe ends the
     search, so the result is the all-mpmath bisection's whichever stage
-    decides a step.  All three steer by the target's sign sequence.
+    decides a step.  Both steer by the target's sign sequence.
     Once the prefix has matched at both ends of the bracket, a root
     enclosure certified in the fixed-point stage's integers decides, by
     one comparison, each later midpoint outside an interval (a, b) around
@@ -550,50 +517,40 @@ def locate(
     if not s.symbols.startswith("R") or not is_shift_maximal(s):
         raise NotMssError(f"{s} is not an MSS-sequence")
     p = s.period
+    digits, halvings = _tol_scales(tol)
     if dps is None:
-        dps = max(_MIN_DPS, math.ceil(p * math.log10(4)) + math.ceil(-math.log10(tol)) + 8)
+        dps = max(_MIN_DPS, math.ceil(p * math.log10(4)) + digits + 8)
     if max_iter is None:
-        max_iter = max(_MIN_ITER, 2 * p + math.ceil(-math.log2(tol)) + 60)
+        max_iter = max(_MIN_ITER, 2 * p + halvings + 60)
     prefix = s.body
     signs = sign_sequence(prefix + "R")
     ctx = _CONTEXTS.get(dps)
     prec = ctx.prec
     eps_mp = ctx.mpf(eps)._mpf_
     tol_mp = ctx.mpf(tol)._mpf_
-    eps_float, eps_err = eps, 0.0  # a float or int eps is eps_mp exactly (prec >= 53)
-    if hasattr(eps, "_mpf_"):  # float arithmetic in the float stage, off eps_mp by eps_err
-        eps_float = float(eps)
-        eps_err = eps_float * 2.0**-51 + 2.0**-1074
     bits = prec - _FIXED_GUARD_BITS
     eps_fix = to_fixed(eps_mp, bits)
     tol_fix = to_fixed(tol_mp, bits)
-    # float64 until the bracket is narrower than 2^-48, then raw mpf; below
-    # 53 bits the float stage's bound does not cover the mpf orbit
-    lo, hi = (3.0, 4.0) if prec >= 53 else (ctx.mpf(3)._mpf_, ctx.mpf(4)._mpf_)
+    g = prec - 2  # every mpf in [2, 4) is a multiple of 2^-g, and 2^-bits = 4 * 2^-g
+    lo, hi = 3 << g, 4 << g  # the bracket, in units of 2^-g
     cert = None  # the root enclosure of _certify, once one is granted
     retry = 0  # the first step at which a certificate may be attempted (again)
     lo_matched = hi_matched = False  # whether the orbit at lo (hi) matched the whole prefix
-    last = None  # the previous mpf step's midpoint
+    last = None  # the previous step's midpoint
     for iteration in range(1, max_iter + 1):
-        floating = isinstance(lo, float)
-        if floating:  # float brackets stay 2^-48 (8 ulps) wide or more: no midpoint repeats
-            mid = (lo + hi) / 2
-        else:  # halving the rounded sum is exact, as mpf division by 2 is
-            mid = mpf_shift(mpf_add(lo, hi, prec, round_nearest), -1)
-            if mid == last:  # same midpoint, same verdict, same bracket: a fixed point
-                break
-            last = mid
+        mid = _midpoint(lo, hi)
+        if mid == last:  # same midpoint, same verdict, same bracket: a fixed point
+            break
+        last = mid
         verdict = None
         matched = False  # whether the orbit at mid matches the whole prefix
         if cert is not None:
             verdict = _replay(cert, mid)
             matched = verdict is not None
-        if verdict is None and floating:
-            verdict, matched = _probe_float(mid, prefix, signs, eps_float, tol, eps_err)
         if verdict is None:
             verdict, matched = _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)
         if verdict is None:
-            r = ctx.mpf(mid)._mpf_ if floating else mid
+            r = from_man_exp(mid, -g)
             verdict, gap = _probe(r, prefix, signs, eps_mp, prec)
             if verdict == _MATCHED:
                 matched = True
@@ -601,9 +558,12 @@ def locate(
                 if mpf_lt(dist, tol_mp):
                     r_star = ctx.make_mpf(r)
                     # An independent reclassification of the orbit, kept as a
-                    # guard although with tol <= eps the probe has cleared
-                    # it; the wider band lets a loose tol still read as C.
-                    word = itinerary(r_star, p, max(eps, tol))
+                    # guard although the probe has cleared it: steps 1..p-1
+                    # in the search's dead band, step p in the one widened
+                    # to a looser tol, so that it still reads as C.
+                    word = itinerary(r_star, p, eps)
+                    if tol > eps and word[-1] != "C":
+                        word = word[:-1] + itinerary(r_star, p, tol)[-1]
                     if word != s.symbols:
                         raise LocateError(
                             f"{s}: residual converged but itinerary reads {word}"
@@ -619,11 +579,10 @@ def locate(
         if not (lo_matched and hi_matched):
             retry = iteration + 1 + _FIRST_WAIT  # halvings past the step at which both match
         elif iteration >= retry:
-            found, wait = _certify(lo, hi, prefix, signs, bits, eps_fix, tol_fix)
+            # ends rounded outwards onto the 2^-bits grid: the certified bracket holds this one
+            found, wait = _certify(lo >> 2, -(-hi >> 2), prefix, signs, bits, eps_fix, tol_fix)
             cert = found or cert  # a certificate stays valid on every later bracket
             retry = iteration + wait
-        if floating and hi - lo < _FLOAT_WIDTH:
-            lo, hi = ctx.mpf(lo)._mpf_, ctx.mpf(hi)._mpf_
     raise LocateError(f"{s}: no convergence within {max_iter} bisection steps")
 
 

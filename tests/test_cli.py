@@ -216,6 +216,16 @@ class TestLocateVerbs:
             '"residual": 8.95881680007307e-301, "iterations": 995}\n'
         )
 
+    def test_locate_at_a_loose_tol(self, capsys):
+        # At r = 3.5 the orbit passes 0.004 from 1/2 at step 4; the closing
+        # check reads steps 1..p-1 in the eps dead band, so it reads R there.
+        code, out, err = run_cli(capsys, "locate", "RLRRRLRC", "--tol", "0.01")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"sequence": "RLRRRLRC", "r_star": 3.5, '
+            '"residual": 0.0008837958933971403, "iterations": 1}\n'
+        )
+
     def test_locate_degenerate(self, capsys):
         code, out, _ = run_cli(capsys, "locate", "C")
         assert json.loads(out)["r_star"] == 2.0

@@ -14,8 +14,8 @@ import pytest
 from mpmath import mpf
 from mpmath.ctx_mp_python import _mpf
 from mpmath.libmp import (
-    fhalf, fone, from_float, from_man_exp, mpf_abs, mpf_le, mpf_lt, mpf_mul, mpf_pos, mpf_sub,
-    round_nearest, to_fixed, to_float,
+    fhalf, fone, from_float, from_man_exp, mpf_abs, mpf_add, mpf_le, mpf_lt, mpf_mul, mpf_pos,
+    mpf_shift, mpf_sub, round_nearest, to_fixed, to_float,
 )
 
 from msskit import (
@@ -31,7 +31,7 @@ from msskit import (
     verify_order,
 )
 from msskit import locator
-from msskit.locator import _BELOW, _MATCHED, _probe, _probe_fixed, _probe_float
+from msskit.locator import _BELOW, _MATCHED, _probe, _probe_fixed
 
 from conftest import brute_shift_maximal
 
@@ -153,6 +153,32 @@ class TestItinerary:
 
 
 class TestLocate:
+    def test_threads_stay_independent(self):
+        # Each thread works at its own precision, low enough to show in the
+        # residual; a context shared between threads would leak one
+        # thread's digits into another's results.
+        jobs = [(extremal(p), dps) for p in (10, 12) for dps in (18, 21, 24, 45)]
+        expected = [_as_tuple(locate(w, dps=dps)) for w, dps in jobs]
+        results = [None] * len(jobs)
+
+        def work(i):
+            for _ in range(3):
+                results[i] = _as_tuple(locate(jobs[i][0], dps=jobs[i][1]))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == expected
+
+
     def test_degenerate_period_one(self):
         found = locate("C")
         assert float(found.r_star) == 2.0
@@ -251,8 +277,8 @@ def _as_tuple(found):
     return found.sequence, found.r_star, found.residual, found.iterations
 
 
-class TestFloatStage:
-    """The float64 stage must leave the all-mpmath bisection path intact."""
+class TestMatchesMpfBisection:
+    """Every search takes the all-mpmath bisection's steps and returns its result."""
 
     def test_identical_to_mpf_bisection(self):
         words = [w for p in range(2, 11) for w in enumerate_mss_structured(p).words()]
@@ -262,79 +288,25 @@ class TestFloatStage:
             expected = mpf_bisection(word, dps=default_dps(len(word)))
             assert _as_tuple(locate(word)) == expected, word
 
-    def test_abstains_near_located_parameter(self):
-        for word in ["RLC", "RLLRLC", "RLRRRLRC", extremal(12)]:
-            r_star = float(locate(word).r_star)
-            prefix = word[:-1]
-            signs = sign_sequence(prefix + "R")
-            for offset in (-1e-15, 0.0, 1e-15):
-                verdict = _probe_float(r_star + offset, prefix, signs, 1e-12, 1e-13)
-                assert verdict == (None, True), (word, offset)
-
     @pytest.mark.parametrize("eps", [mpf("1e-12"), mpf(0), MP40.mpf("1e-12"), MP40.mpf("3e-13")],
                              ids=["53-bit", "zero", "136-bit", "136-bit-3e-13"])
     def test_identical_to_mpf_bisection_at_an_mpf_eps(self, eps):
-        # The float stage compares a float near an mpf eps and widens its
-        # dead band by the difference; the steps stay the mpf bisection's.
+        # Both stages compare with eps rounded to the working precision,
+        # as the mpf bisection does.
         for word in period_words(10):
             expected = mpf_bisection(word, eps=eps, dps=default_dps(len(word)))
             assert tuple(map(repr, _as_tuple(locate(word, eps=eps)))) == tuple(map(repr, expected))
 
-    def test_mpf_eps_keeps_the_float_stage_in_float_arithmetic(self, monkeypatch):
-        compared = Counter()
-        runs = []  # one entry per float-stage call in progress
-        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__sub__", "__rsub__"):
-            def counted(a, b, _name=name, _method=getattr(_mpf, name)):
-                if runs:
-                    compared[_name] += 1
-                return _method(a, b)
-
-            monkeypatch.setattr(_mpf, name, counted)
-        probe = locator._probe_float
-        stage_calls = []
-
-        def float_stage(*args):
-            runs.append(True)
-            stage_calls.append(args[0])
-            try:
-                return probe(*args)
-            finally:
-                runs.pop()
-
-        monkeypatch.setattr(locator, "_probe_float", float_stage)
-        for eps in (mpf("1e-12"), MP40.mpf("1e-12")):
-            for word in ["RLC", "RLRRRLRC", extremal(22)]:
-                locate(word, eps=eps)
-        assert len(stage_calls) > 100
-        assert compared == Counter()
-        float_stage(3.5, "RL", (1, 1, 1), mpf("1e-12"), 1e-13)  # the counter sees an mpf eps
-        assert compared["__rsub__"] > 0
-
-    def test_threads_stay_independent(self):
-        # Each thread works at its own precision, low enough to show in the
-        # residual; a context shared between threads would leak one
-        # thread's digits into another's results.
-        jobs = [(extremal(p), dps) for p in (10, 12) for dps in (18, 21, 24, 45)]
-        expected = [_as_tuple(locate(w, dps=dps)) for w, dps in jobs]
-        results = [None] * len(jobs)
-
-        def work(i):
-            for _ in range(3):
-                results[i] = _as_tuple(locate(jobs[i][0], dps=jobs[i][1]))
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert results == expected
-
+    @pytest.mark.parametrize("tol", [1e-2, 1e-3])
+    def test_identical_to_mpf_bisection_at_a_loose_tol(self, tol):
+        # A residual below tol but above eps converges; the closing check
+        # widens the dead band to tol at step p only, so an orbit that
+        # passes within tol of 1/2 in mid-word still reads as the word.
+        words = period_words(12)
+        assert len(words) == 379
+        for word in words:
+            expected = mpf_bisection(word, tol=tol, **default_args(len(word), tol))
+            assert _as_tuple(locate(word, tol=tol)) == expected, word
 
 class TestOrder:
     def test_period_four_order(self):
@@ -381,6 +353,36 @@ class TestArguments:
         with pytest.raises(ValueError, match="max_iter"):
             locate("RLC", max_iter=max_iter)
 
+    def test_tol_below_the_float_range(self):
+        # float(tol) is 0, so math's logarithms cannot size the defaults;
+        # they come from tol's exact value: ceil(-log10 tol) = 401 and
+        # ceil(-log2 tol) = 1329 give dps 4 + 401 + 8 and max_iter
+        # 10 + 1329 + 60.
+        tol = mpf("1e-400")
+        assert float(tol) == 0
+        found = locate("RLRRC", tol=tol)
+        assert found.r_star.context.dps == 413
+        assert _as_tuple(found) == mpf_bisection("RLRRC", tol=tol, dps=413, max_iter=1399)
+
+    def test_default_sizes_at_the_exact_tol(self):
+        # Below the float range both scales are the least integers k with
+        # 10^k tol >= 1 and 2^k tol >= 1; above it they are math's, which
+        # the oracle's default_args restates.
+        rng = random.Random(20261019)
+        ctx = mpmath.ctx_mp.MPContext()
+        for _ in range(300):
+            man = rng.getrandbits(rng.randint(1, 200)) | 1
+            exp = -rng.randint(1080, 5000) - man.bit_length()
+            tol = ctx.make_mpf((0, man, exp, man.bit_length()))
+            assert float(tol) == 0
+            exact = Fraction(man) * Fraction(2)**exp
+            digits, halvings = locator._tol_scales(tol)
+            assert 10**digits * exact >= 1 > 10**(digits - 1) * exact, tol
+            assert 2**halvings * exact >= 1 > 2**(halvings - 1) * exact, tol
+        for tol in (1e-13, 1e-2, 2.0**-40, 1e-300, 5e-324, mpf("1e-20"), MP40.mpf("1e-300")):
+            digits, halvings = locator._tol_scales(tol)
+            assert (digits, halvings) == (math.ceil(-math.log10(tol)), math.ceil(-math.log2(tol)))
+
     def test_zero_eps_still_locates(self):
         found = locate("RLC", eps=0)
         assert _as_tuple(found) == mpf_bisection("RLC", eps=0)
@@ -426,12 +428,14 @@ class TestFixedStage:
             eps_fix = math.floor(Fraction(1e-12) * 2**bits)
             tol_fix = math.floor(Fraction(1e-13) * 2**bits)
             r_star = ctx.mpf(locate(word).r_star)
+            r_grid = int(r_star * 2**(bits + 2))  # the search's grid, 2^-(bits + 2)
+            assert r_grid == r_star * 2**(bits + 2)
             prefix = word[:-1]
             signs = sign_sequence(prefix + "R")
 
             def probe(steps):
                 # offsets on the 2^-bits grid, so no answer is lost to rounding
-                mid = r_star + steps * unit
+                mid = r_grid + 4 * steps
                 return _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)[0]
 
             near = round(1e-30 / unit)
@@ -450,9 +454,10 @@ class TestFixedStage:
         ctx = mpmath.ctx_mp.MPContext()
         ctx.dps = default_dps(len(word))
         bits = ctx.prec - 4
-        mid = ctx.mpf(locate(word).r_star) - ctx.ldexp(1, -30)
-        big = int(mid * 2**bits)
-        assert big == mid * 2**bits
+        r = ctx.mpf(locate(word).r_star) - ctx.ldexp(1, -30)
+        big = int(r * 2**bits)
+        assert big == r * 2**bits
+        mid = big << 2  # on the search's grid, 2^-(bits + 2)
         one, x, dists = 1 << bits, 1 << (bits - 1), []
         for _ in word:
             x = big * x * (one - x) >> 2 * bits
@@ -466,6 +471,18 @@ class TestFixedStage:
             assert _probe_fixed(mid, prefix, signs, bits, closest - units, tol_fix)[0] is None
             assert _probe_fixed(mid, prefix, signs, bits, eps_fix, gap - units)[0] is None
 
+    def test_abstains_off_the_grid(self):
+        # A search midpoint is on the 2^-(bits + 2) grid; one off the
+        # coarser 2^-bits grid has no exact fixed-point orbit.
+        word = "RLRRRLRC"
+        prefix, signs = word[:-1], sign_sequence(word[:-1] + "R")
+        bits = 99
+        eps_fix, tol_fix = fixed_thresholds(1e-12, 1e-13, bits)
+        far = (int(locate(word).r_star * 2**bits) - 2**(bits - 30)) << 2
+        assert _probe_fixed(far, prefix, signs, bits, eps_fix, tol_fix)[0] is not None
+        for k in (1, 2, 3):
+            assert _probe_fixed(far + k, prefix, signs, bits, eps_fix, tol_fix) == (None, False)
+
     def test_margin_is_twice_the_static_bound(self):
         # Either orbit may be E_i = (4^i - 1)/3 units from the exact one
         # after step i, so a comparison is decided once it clears its
@@ -475,8 +492,10 @@ class TestFixedStage:
         ctx = mpmath.ctx_mp.MPContext()
         ctx.dps = default_dps(len(word))
         bits = ctx.prec - 4
-        mid = ctx.mpf(locate(word).r_star) - ctx.ldexp(1, -30)
-        big = int(mid * 2**bits)
+        r = ctx.mpf(locate(word).r_star) - ctx.ldexp(1, -30)
+        big = int(r * 2**bits)
+        assert big == r * 2**bits
+        mid = big << 2  # on the search's grid, 2^-(bits + 2)
         one, x, dists = 1 << bits, 1 << (bits - 1), []
         for _ in word:
             x = big * x * (one - x) >> 2 * bits
@@ -545,7 +564,7 @@ class TestFixedStage:
         assert len(calls) == 1
 
     def test_mpf_runs_once_per_call(self, monkeypatch):
-        # The float and fixed-point stages decide every step but the last.
+        # The fixed-point stage and the enclosure decide every step but the last.
         calls = []
         probe = locator._probe
 
@@ -561,13 +580,12 @@ class TestFixedStage:
         assert len(calls) == 1
 
 
-def mpf_step_agrees(verdict, mid, prefix, eps, tol, prec):
-    """True when the mpf probe at ``mid`` (a float or raw mpf) takes the
-    certified step: it matches the whole prefix and reads a closing gap of
-    at least ``tol`` whose steering verdict is ``verdict``.  ``eps`` and
-    ``tol`` are rounded to ``prec`` bits, as the locating context does."""
+def mpf_step_agrees(verdict, r, prefix, eps, tol, prec):
+    """True when the mpf probe at the raw mpf ``r`` takes the certified
+    step: it matches the whole prefix and reads a closing gap of at least
+    ``tol`` whose steering verdict is ``verdict``.  ``eps`` and ``tol``
+    are rounded to ``prec`` bits, as the locating context does."""
     signs = sign_sequence(prefix + "R")
-    r = from_float(mid) if isinstance(mid, float) else mid
     eps_mp, tol_mp = (mpf_pos(from_float(v), prec, round_nearest) for v in (eps, tol))
     got, gap = _probe(r, prefix, signs, eps_mp, prec)
     if got != _MATCHED or mpf_lt(mpf_abs(gap), tol_mp):
@@ -583,6 +601,15 @@ def fixed_thresholds(eps, tol, bits):
     """``locate``'s eps_fix and tol_fix at a working precision of bits + 4."""
     return tuple(to_fixed(mpf_pos(from_float(v), bits + 4, round_nearest), bits)
                  for v in (eps, tol))
+
+
+def regrid(lo, hi, bits, grid):
+    """A bracket of ints on the 2^-bits grid, moved to the coarser 2^-grid
+    one, or None when an end is off it."""
+    shift = bits - grid
+    if (lo | hi) & ((1 << shift) - 1):
+        return None
+    return lo >> shift, hi >> shift
 
 
 def exact_gap(r_fix, bits, steps):
@@ -633,7 +660,8 @@ class TestRootEnclosure:
             if verdict is not None:
                 word, prec = current["word"], current["prec"]
                 replayed.append(word)
-                if not mpf_step_agrees(verdict, mid, word[:-1], eps, tol, prec):
+                r = from_man_exp(mid, 2 - prec)  # mid is on the 2^-(prec - 2) grid
+                if not mpf_step_agrees(verdict, r, word[:-1], eps, tol, prec):
                     wrong.append((word, mid))
             return verdict
 
@@ -650,9 +678,9 @@ class TestRootEnclosure:
 
     @pytest.mark.parametrize("kwargs", [{}, {"dps": 18}, {"dps": 9, "tol": 1e-9, "eps": 1e-9}])
     def test_replayed_steps_are_mpf_steps(self, monkeypatch, kwargs):
-        # Float and mpf midpoints alike, at every period: the certificate
-        # runs in the fixed-point stage's integers, so long words and
-        # precisions below 53 bits have one too.
+        # At every period and precision: the certificate runs in the
+        # fixed-point stage's integers, so long words and precisions below
+        # 53 bits have one too.
         words = [row.sequence for row in order_report(10)]
         words += [extremal(p) for p in range(14, 61)]
         words += random_mss_words(seed=20261019, count=40, pmin=4, pmax=40)
@@ -673,20 +701,22 @@ class TestRootEnclosure:
         assert len(calls) == len(words)
         checked = 0
         for lo, hi, prefix, signs, locating_bits, eps_fix, tol_fix in calls:
+            grid = bits or locating_bits
             if bits:
                 eps_fix, tol_fix = fixed_thresholds(1e-12, 1e-13, bits)
-            grid = bits or locating_bits
+                if regrid(lo, hi, locating_bits, bits) is None:
+                    continue
+                lo, hi = regrid(lo, hi, locating_bits, bits)
             cert, _ = locator._certify(lo, hi, prefix, signs, grid, eps_fix, tol_fix)
             if cert is None:
                 continue
-            checked += self.check_points(cert, lo, hi, prefix, 1e-12, 1e-13)
+            checked += self.check_points(cert, lo, hi, grid, prefix, 1e-12, 1e-13)
         assert checked > 30 * len(words)
 
     @staticmethod
-    def check_points(cert, lo, hi, prefix, eps, tol):
+    def check_points(cert, lo_fix, hi_fix, bits, prefix, eps, tol):
         """Re-decide grid points of [lo, a] and [b, hi] with the mpf probe."""
-        a, b, _, _, below, above, bits = cert
-        lo_fix, hi_fix = locator._grid(lo, bits), locator._grid(hi, bits)
+        a, b, below, above = cert
         below_a = {lo_fix, *(lo_fix + (a - lo_fix) * k // 9 for k in range(9))}
         below_a.update(a - k for k in range(1, 10))
         above_b = {hi_fix, *(b + (hi_fix - b) * k // 9 for k in range(9))}
@@ -723,12 +753,10 @@ class TestRootEnclosure:
                     for offset in (-2, 0, 1):
                         h = 1 << (bits - j)
                         lo, hi = r_fix + (offset - 4) * h // 4, r_fix + (offset + 4) * h // 4
-                        lo_raw, hi_raw = from_man_exp(lo, -bits), from_man_exp(hi, -bits)
-                        cert, _ = locator._certify(lo_raw, hi_raw, prefix, signs, bits,
-                                                   eps_fix, tol_fix)
+                        cert, _ = locator._certify(lo, hi, prefix, signs, bits, eps_fix, tol_fix)
                         if cert is not None:
                             granted += 1
-                            checked += self.check_points(cert, lo_raw, hi_raw, prefix, eps, 1e-13)
+                            checked += self.check_points(cert, lo, hi, bits, prefix, eps, 1e-13)
         assert granted > 50
         assert checked > 1000
 
@@ -751,17 +779,19 @@ class TestRootEnclosure:
                 return worst, dx
 
             monkeypatch.setattr(locator, "_gap_slope", shifted)
-            for lo, hi, prefix, signs, grid, eps_fix, tol_fix in calls:
+            for lo_fix, hi_fix, prefix, signs, grid, eps_fix, tol_fix in calls:
                 if bits:
-                    grid = bits
                     eps_fix, tol_fix = fixed_thresholds(1e-12, 1e-13, bits)
-                cert, _ = locator._certify(lo, hi, prefix, signs, grid, eps_fix, tol_fix)
+                    if regrid(lo_fix, hi_fix, grid, bits) is None:
+                        continue
+                    lo_fix, hi_fix = regrid(lo_fix, hi_fix, grid, bits)
+                    grid = bits
+                cert, _ = locator._certify(lo_fix, hi_fix, prefix, signs, grid, eps_fix, tol_fix)
                 if cert is None:
                     continue
-                a, b, _, _, below, _, _ = cert
+                a, b, below, _ = cert
                 s = -below * signs[-1]  # the sign of dG/dr on the bracket
                 need = tol_fix + (4 ** len(signs) - 1) // 3 + locator._FIXED_SLACK
-                lo_fix, hi_fix = locator._grid(lo, grid), locator._grid(hi, grid)
                 for m, side in ((lo_fix, -1), (a - 1, -1), (b, 1), (hi_fix, 1)):
                     if lo_fix <= m <= hi_fix and (m < a if side < 0 else m >= b):
                         assert side * s * exact_gap(m, grid, len(signs)) > need, (prefix, m)
@@ -773,16 +803,18 @@ class TestRootEnclosure:
         # every parameter reads R at step 1, but G is not monotone.
         bits = 99
         args = ("R", sign_sequence("RR"), bits, *fixed_thresholds(1e-12, 1e-13, bits))
-        assert locator._certify(2.6, 3.6, *args)[0] is None
-        cert, wait = locator._certify(3.2, 3.27, *args)
-        a, b, a_float, b_float, below, above, _ = cert
-        assert a_float <= a / 2**bits < 1 + math.sqrt(5) < b / 2**bits <= b_float
+        lo, hi = (int(Fraction(v) * 2**bits) for v in (2.6, 3.6))
+        assert locator._certify(lo, hi, *args)[0] is None
+        lo, hi = (int(Fraction(v) * 2**bits) for v in (3.2, 3.27))
+        cert, wait = locator._certify(lo, hi, *args)
+        a, b, below, above = cert
+        assert a / 2**bits < 1 + math.sqrt(5) < b / 2**bits
         assert (below, above) == (locator._BELOW, locator._ABOVE)
         assert wait == math.inf
 
     def test_certifies_below_53_bits(self, monkeypatch):
-        # Below 53 bits no float stage runs, but the certificate lives in
-        # the fixed-point stage's integers and is granted there too.
+        # The certificate lives in the fixed-point stage's integers, so it
+        # is granted below 53 bits too.
         calls = []
         certify = locator._certify
 
@@ -799,12 +831,12 @@ class TestRootEnclosure:
         assert sum(cert is not None for cert, _ in calls) > 30
 
     def test_probe_counts(self, monkeypatch):
-        # Without the enclosure order_report(10) makes 5,510 float, 561
-        # fixed-point and 116 mpf probes; the counts are pinned so that a
-        # certificate that silently stops certifying, or a wait schedule
-        # that retries too often, shows.
+        # Without the enclosure order_report(10) makes 5,655 fixed-point and
+        # 116 mpf probes; the counts are pinned so that a certificate that
+        # silently stops certifying, or a wait schedule that retries too
+        # often, shows.
         counts = Counter()
-        for name in ("_probe_float", "_probe_fixed", "_probe", "_certify"):
+        for name in ("_probe_fixed", "_probe", "_certify"):
             def counted(*args, _name=name, _probe=getattr(locator, name)):
                 result = _probe(*args)
                 counts[_name] += 1
@@ -814,8 +846,7 @@ class TestRootEnclosure:
 
             monkeypatch.setattr(locator, name, counted)
         order_report(10)
-        assert counts == {"_probe_float": 1380, "_probe_fixed": 192, "_probe": 116,
-                          "_certify": 128, "certified": 116}
+        assert counts == {"_probe_fixed": 1428, "_probe": 116, "_certify": 128, "certified": 116}
 
 
 def object_itinerary(r, steps, eps):
@@ -893,9 +924,8 @@ class TestRawStage:
          (14, 1e-13, 1e-12), (15, 1e-13, 1e-12), (15, 1e-14, 1e-14)],
     )
     def test_identical_to_mpf_bisection_near_and_below_53_bits(self, dps, tol, eps):
-        # Below 53 bits (dps <= 14) the float stage's bound does not cover
-        # the less accurate mpf orbit, so only the fixed-point and mpf
-        # stages run.
+        # Below 53 bits (dps <= 14) the mpf orbit is less accurate than
+        # float64; the fixed-point stage's bound covers it at any precision.
         for word in (w for p in range(2, 11) for w in enumerate_mss_structured(p).words()):
             self.check_against_oracle(word, dps=dps, tol=tol, eps=eps)
 
@@ -952,6 +982,38 @@ class TestRawStage:
         assert calls == []
         mpf(3) * mpf(2)  # the counter does see object arithmetic
         assert len(calls) == 1
+
+
+class TestMidpoint:
+    """The bracket's integer midpoint is the one mpf arithmetic rounds."""
+
+    @pytest.mark.parametrize("prec", [7, 53, 103, 136, 1000])
+    def test_matches_libmp(self, prec):
+        # lo < hi on the 2^-g grid in [3, 4], g = prec - 2: seeded brackets,
+        # one-unit brackets, and odd sums whose rounding ties go both ways
+        g = prec - 2
+        one = 1 << g
+        rng = random.Random(prec)
+        brackets = []
+        for _ in range(400):
+            lo = rng.randrange(3 * one, 4 * one)
+            brackets.append((lo, rng.randrange(lo + 1, 4 * one + 1)))
+        for lo in [3 * one, 4 * one - 1, 4 * one - 2] + [rng.randrange(3 * one, 4 * one)
+                                                           for _ in range(20)]:
+            brackets.append((lo, lo + 1))
+        for width in (1, 3, 5, 2**(g // 2) + 1, one - 3):
+            for lo in (3 * one, 3 * one + 1, 3 * one + 2, 3 * one + 3):
+                brackets.append((lo, lo + width))
+        ties = Counter()
+        for lo, hi in brackets:
+            assert 3 * one <= lo < hi <= 4 * one
+            mid = locator._midpoint(lo, hi)
+            raw = (from_man_exp(lo, -g), from_man_exp(hi, -g))
+            want = mpf_shift(mpf_add(*raw, prec, round_nearest), -1)
+            assert from_man_exp(mid, -g) == want, (prec, lo, hi)
+            if (lo + hi) & 1:
+                ties[(lo + hi) >> 1 & 1] += 1  # 1 when the tie rounds up
+        assert ties[0] > 10 and ties[1] > 10
 
 
 def libmp_orbit(r, prec):
@@ -1069,9 +1131,9 @@ class TestIntegerOrbit:
         replay = locator._replay
         monkeypatch.setattr(locator, "_replay",
                             lambda cert, mid: mids.append(mid) or replay(cert, mid))
-        for name in ("_probe_float", "_probe_fixed"):
-            monkeypatch.setattr(locator, name, lambda mid, *args, _f=getattr(locator, name):
-                                mids.append(mid) or _f(mid, *args))
+        probe_fixed = locator._probe_fixed
+        monkeypatch.setattr(locator, "_probe_fixed",
+                            lambda mid, *args: mids.append(mid) or probe_fixed(mid, *args))
         words = ["RLC", "RLRRRLRC", extremal(12), "RLRRRRRRLRLRRRC", extremal(30)]
         matched = 0
         for word in words:
@@ -1084,13 +1146,13 @@ class TestIntegerOrbit:
                 pass
             prefix, signs = word[:-1], sign_sequence(word[:-1] + "R")
             eps = mpf_pos(from_float(kwargs.get("eps", 1e-12)), ctx.prec, round_nearest)
-            for mid in mids:
-                r = from_float(mid) if isinstance(mid, float) else mid
+            raws = [from_man_exp(mid, 2 - ctx.prec) for mid in mids]  # the 2^-(prec - 2) grid
+            for r in raws:
                 got = _probe(r, prefix, signs, eps, ctx.prec)
-                assert got == libmp_probe(r, prefix, signs, eps, ctx.prec), (word, mid)
+                assert got == libmp_probe(r, prefix, signs, eps, ctx.prec), (word, r)
                 matched += got[0] == _MATCHED
-            for mid in mids[::9]:
-                self.check_orbit(from_float(mid) if isinstance(mid, float) else mid, ctx.prec)
+            for r in raws[::9]:
+                self.check_orbit(r, ctx.prec)
         assert matched > least  # probes that read a closing gap
 
     @pytest.mark.parametrize("prec", [2, 7, 24, 53, 100, 333])
