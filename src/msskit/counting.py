@@ -14,6 +14,10 @@ Three counters, each paired with an enumeration cross-check:
   block enumeration keeps yielding nothing at length zero; the tension
   is confined to this one counter.
 
+The cross-checks read proved shift-maximal words and factors, which keep
+the run bound, so a word is one single-copy group exactly when its head
+copy ``R L^q`` occurs once in it: no block form is built.
+
 Counts are plain Python integers, so no overflow concerns apply.
 """
 
@@ -26,7 +30,7 @@ from typing import Iterable, Optional
 from .composition import _divisor_scan
 from .generators import enumerate_blocks, enumerate_mss_structured
 from .sequences import AdmissibleSeq
-from .structure import block_decompose
+from .structure import _single_group_q
 
 __all__ = [
     "DivisorSet",
@@ -140,15 +144,6 @@ class CountReport:
         return self.enumerated_value is None or self.enumerated_value == self.formula_value
 
 
-def _single_group_form(seq: AdmissibleSeq):
-    """Return the head run length when the block form is one single-copy
-    group, else None."""
-    form = block_decompose(seq)
-    if form.group_count == 1 and form.runs[0][0] == 1:
-        return form.q
-    return None
-
-
 def enumerated_single_group_nonprimary(enumeration: Iterable[AdmissibleSeq]) -> int:
     """Non-primary single-group sequences among one period's MSS-sequences.
 
@@ -157,7 +152,7 @@ def enumerated_single_group_nonprimary(enumeration: Iterable[AdmissibleSeq]) -> 
     enumerator proved them shift-maximal, so they are not proved again."""
     count = 0
     for s in enumeration:
-        if _single_group_form(s) is not None and next(_divisor_scan(s), None) is not None:
+        if _single_group_q(s.body) is not None and next(_divisor_scan(s), None) is not None:
             count += 1
     return count
 
@@ -170,7 +165,7 @@ def enumerated_core_factors(enumeration: Iterable[AdmissibleSeq]) -> set[str]:
     cores: set[str] = set()
     for s in enumeration:
         for inner, _outer in _divisor_scan(s):
-            q = _single_group_form(inner)
+            q = _single_group_q(inner.body)
             if q is not None and q >= 1:
                 cores.add(inner.symbols)
     return cores

@@ -20,7 +20,9 @@ accepts every such word, so it is kept without a call.
 ``R {L,R}^(p-2) C`` with the direct shift-maximality test and serves as
 the oracle the structured path is validated against (practical up to
 p around 22).  Both sort their words of one period by a compact integer
-form of the sign sequence rather than by the pairwise comparator.
+form of the sign sequence rather than by the pairwise comparator, and
+return them as a :class:`PeriodEnumeration` of plain words, wrapped as
+:class:`~msskit.sequences.AdmissibleSeq` only on iteration.
 
 ``derive_later_blocks`` produces, for a fixed first interior block, the
 blocks that may legally follow it in longer sequences: exactly the words
@@ -57,19 +59,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PeriodEnumeration:
-    """All MSS-sequences of one period, in increasing parity-lex order."""
+    """All MSS-sequences of one period, in increasing parity-lex order:
+    ``rows`` holds the plain words, which the enumerator proved, and
+    iteration wraps each as an :class:`AdmissibleSeq` without a check."""
 
     period: int
-    sequences: tuple[AdmissibleSeq, ...]
+    rows: tuple[str, ...]
 
     def __iter__(self):
-        return iter(self.sequences)
+        return map(_admitted, self.rows)
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return len(self.rows)
+
+    @property
+    def sequences(self) -> tuple[AdmissibleSeq, ...]:
+        return tuple(self)
 
     def words(self) -> list[str]:
-        return [s.symbols for s in self.sequences]
+        return list(self.rows)
+
+
+def _rl_words(n: int, head: str = "", tail: str = ""):
+    """``head + w + tail`` for every word w over {R, L} of length n, in
+    ``itertools.product("RL", repeat=n)`` order.  The last six letters
+    come from a table of endings, so memory stays bounded at any n."""
+    k = min(n, 6)
+    ends = ["".join(t) + tail for t in itertools.product("RL", repeat=k)]
+    for t in itertools.product("RL", repeat=n - k):
+        start = head + "".join(t)
+        for end in ends:
+            yield start + end
 
 
 def enumerate_blocks(length: int, max_run: int) -> list[str]:
@@ -91,40 +111,33 @@ def _blocks_cached(length: int, max_run: int) -> tuple[str, ...]:
         return ()
     q = max_run + 1
     tiles, rem = divmod(length, q)
-    if tiles == 0:
-        # The whole row is shorter than one tile: R then anything.
-        return tuple(sorted("R" + "".join(t) for t in itertools.product("RL", repeat=length - 1)))
 
-    found: set[str] = set()
-
-    def tile_variants(first_lo: int, first_hi: int, width: int):
-        """Fillings of one width-q tile with first R in [first_lo, first_hi]
+    def tile_variants(first_hi: int, width: int):
+        """Fillings of one width-q tile with first R at or before first_hi
         and anything between first and last R.  Yields (word, last_r_pos)."""
-        for f in range(first_lo, first_hi + 1):
+        for f in range(1, first_hi + 1):
             for l in range(f, width + 1):
                 if l == f:
                     yield "L" * (f - 1) + "R" + "L" * (width - l), l
                 else:
-                    for mid in itertools.product("RL", repeat=l - f - 1):
-                        yield "L" * (f - 1) + "R" + "".join(mid) + "R" + "L" * (width - l), l
+                    for word in _rl_words(l - f - 1, "L" * (f - 1) + "R", "R" + "L" * (width - l)):
+                        yield word, l
 
-    def build(i: int, prev_last: int, acc: str):
-        if i > tiles:
-            if rem == 0:
-                found.add(acc)
-            elif prev_last >= rem + 1:
-                # Even an all-L remainder stays within the run bound.
-                for t in itertools.product("RL", repeat=rem):
-                    found.add(acc + "".join(t))
-            else:
-                for word, _ in tile_variants(1, prev_last, rem):
-                    found.add(acc + word)
-            return
-        lo, hi = (1, 1) if i == 1 else (1, prev_last)
-        for word, last in tile_variants(lo, hi, q):
-            build(i + 1, last, acc + word)
-
-    build(1, 0, "")
+    # The full tiles, one at a time, as (prefix so far, last R of its last
+    # tile); the first tile, or the remainder if there is none, starts with R.
+    prefixes = [("", 1)]
+    for _ in range(tiles):
+        prefixes = [(acc + word, last) for acc, prev_last in prefixes
+                    for word, last in tile_variants(prev_last, q)]
+    found: set[str] = set()
+    for acc, prev_last in prefixes:
+        if rem == 0:
+            found.add(acc)
+        elif prev_last >= rem + 1:
+            # Even an all-L remainder stays within the run bound.
+            found.update(_rl_words(rem, acc))
+        else:
+            found.update(acc + word for word, _ in tile_variants(prev_last, rem))
     return tuple(sorted(found))
 
 
@@ -163,10 +176,7 @@ def derive_later_blocks(q: int, first_block: str, max_len: int) -> list[str]:
         if len(prefix) > max_len:
             continue
         for tail_len in range(0, max_len - len(prefix) + 1):
-            for tail in itertools.product("RL", repeat=tail_len):
-                word = prefix + "".join(tail)
-                if max_l_run(word) <= q - 1:
-                    out.add(word)
+            out.update(w for w in _rl_words(tail_len, prefix) if max_l_run(w) <= q - 1)
     return sorted(out)
 
 
@@ -230,18 +240,12 @@ def enumerate_mss_structured(p: int) -> PeriodEnumeration:
         if form.group_count == 1 or _test_form(form, word).is_mss
     ]
     accepted.sort(key=_sign_rank)
-    return PeriodEnumeration(p, tuple(map(_admitted, accepted)))
+    return PeriodEnumeration(p, tuple(accepted))
 
 
 def _bruteforce_words(p: int, prefix: str = "") -> list[str]:
     """Shift-maximal words among R + prefix + {L,R}^k + C."""
-    free = p - 2 - len(prefix)
-    out = []
-    for mid in itertools.product("RL", repeat=free):
-        word = "R" + prefix + "".join(mid) + "C"
-        if _shift_maximal_word(word):
-            out.append(word)
-    return out
+    return list(filter(_shift_maximal_word, _rl_words(p - 2 - len(prefix), "R" + prefix, "C")))
 
 
 def enumerate_mss_bruteforce(p: int, workers: int = 1) -> PeriodEnumeration:
@@ -254,8 +258,7 @@ def enumerate_mss_bruteforce(p: int, workers: int = 1) -> PeriodEnumeration:
     if p < 2:
         raise ValueError("period must be >= 2")
     if workers > 1 and p >= 8:
-        prefixes = ["".join(t) for t in itertools.product("RL", repeat=2)]
-        jobs = [(p, pre) for pre in prefixes]
+        jobs = [(p, pre) for pre in _rl_words(2)]
         import multiprocessing
 
         with multiprocessing.Pool(min(workers, len(jobs))) as pool:
@@ -264,4 +267,4 @@ def enumerate_mss_bruteforce(p: int, workers: int = 1) -> PeriodEnumeration:
     else:
         words = _bruteforce_words(p)
     words.sort(key=_sign_rank)
-    return PeriodEnumeration(p, tuple(map(_admitted, words)))
+    return PeriodEnumeration(p, tuple(words))

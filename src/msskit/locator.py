@@ -71,8 +71,8 @@ from typing import Optional, Union
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import from_float, from_man_exp, mpf_abs, mpf_lt, round_nearest
-from mpmath.libmp import to_fixed, to_float
+from mpmath.libmp import finf, fnan, fninf, from_float, from_man_exp, mpf_abs, mpf_lt
+from mpmath.libmp import round_nearest, to_fixed, to_float
 
 from .errors import LocateError, NotMssError
 from .sequences import SeqLike, as_sequence, expand_exponents, is_shift_maximal, sign_sequence
@@ -124,24 +124,38 @@ class MapParam:
 Param = Union[MapParam, float, mpf]
 
 
+def _finite(x) -> bool:
+    """Whether ``x`` is finite, tested on its exact form: an mpf is never
+    converted to a float, where one above the float range reads as inf."""
+    if hasattr(x, "_mpf_"):
+        return x._mpf_ not in (finf, fninf, fnan)
+    return isinstance(x, int) or math.isfinite(x)
+
+
 def _check_eps(eps) -> None:
     """Raise unless ``eps`` is a finite int, float or mpf >= 0, whose exact value is known."""
     if not isinstance(eps, (int, float)) and not hasattr(eps, "_mpf_"):
         raise TypeError(f"eps must be an int, float or mpf, got {type(eps).__name__}")
-    if not (math.isfinite(eps) and eps >= 0):
+    if not (_finite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
 
 
 def _tol_scales(tol) -> tuple:
     """ceil(-log10 tol) and ceil(-log2 tol), which size locate's default dps and max_iter.
 
-    An mpf ``tol`` below the float range is read at its exact value,
-    m 2^e with m odd; any other is read by math's logarithms.
+    An mpf ``tol`` outside the float range, at either end, is read at its
+    exact value, m 2^e with m odd; any other is read by math's logarithms.
     """
-    if float(tol):
+    if 0 < float(tol) < math.inf:
         return math.ceil(-math.log10(tol)), math.ceil(-math.log2(tol))
     _, man, exp, _ = tol._mpf_
     halvings = 1 - exp - man.bit_length()  # 2^-halvings <= tol < 2^(1 - halvings)
+    if halvings < 0:  # above the float range: -floor(log10 tol), from floor(tol)
+        whole = man << exp if exp >= 0 else man >> -exp
+        digits = (whole.bit_length() - 1) * 3 // 10  # at most log10 tol, as log10 2 > 0.3
+        while 10 ** (digits + 1) <= whole:
+            digits += 1
+        return -digits, halvings
     digits = (halvings - 1) * 3 // 10  # below -log10 tol, as log10 2 > 0.3
     while 10**digits * man < 1 << -exp:  # until 10^digits tol >= 1
         digits += 1
@@ -500,7 +514,7 @@ def locate(
     A converged parameter is confirmed by an independent :func:`itinerary`
     of the whole orbit before it is returned.
     """
-    if not (math.isfinite(tol) and tol > 0):
+    if not (_finite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     _check_eps(eps)
     if dps is not None and dps < 1:
@@ -594,7 +608,7 @@ def order_report(pmax: int, tol: float = _DEFAULT_TOL) -> list[LocatedSequence]:
         raise ValueError("pmax must be >= 2")
     seqs = []
     for p in range(2, pmax + 1):
-        seqs.extend(enumerate_mss_structured(p).words())
+        seqs.extend(enumerate_mss_structured(p).rows)
     seqs.sort(key=_signs)  # sign-sequence order; no two admissible sequences compare equal
     return [locate(w, tol=tol) for w in seqs]
 

@@ -35,7 +35,8 @@ from .counting import (
     enumerated_single_group_nonprimary,
 )
 from .errors import ShapeError
-from .generators import enumerate_mss_bruteforce, enumerate_mss_structured
+from .generators import PeriodEnumeration, enumerate_mss_bruteforce, enumerate_mss_structured
+from .generators import _rl_words
 from .sequences import _admitted, is_shift_maximal, is_shift_maximal_signs
 from .structure import is_mss_structured
 
@@ -55,42 +56,32 @@ _BRUTEFORCE_READERS = ("oracle", "construction")
 
 class _Run:
     """What the suites of one :func:`run_selftest` call share: its options
-    and each period's enumerations, built on first use as plain words.
-
-    Structured lists stay for the whole call.  A period's brute-force list
-    is dropped once every chosen suite that reads it has read it.
-    """
+    and each period's enumerations, built on first use.  Structured ones
+    stay for the whole call; a period's brute-force words are dropped once
+    every chosen suite that reads them has read them."""
 
     def __init__(self, pmax: int, workers: int, chosen: list[str]):
         self.pmax = pmax
         self.workers = workers
-        self._structured: dict[int, list[str]] = {}
-        self._bruteforce: dict[int, list[str]] = {}
+        self._structured: dict[int, PeriodEnumeration] = {}
+        self._bruteforce: dict[int, tuple[str, ...]] = {}
         self._reads: dict[int, int] = {}
         self._readers = sum(name in _BRUTEFORCE_READERS for name in chosen)
 
-    def structured(self, p: int) -> list[str]:
+    def structured(self, p: int) -> PeriodEnumeration:
+        """Its ``rows`` are the words; it iterates as :class:`AdmissibleSeq`."""
         if p not in self._structured:
-            self._structured[p] = enumerate_mss_structured(p).words()
+            self._structured[p] = enumerate_mss_structured(p)
         return self._structured[p]
 
-    def sequences(self, p: int):
-        """The structured words of period p as :class:`AdmissibleSeq`."""
-        return map(_admitted, self.structured(p))
-
-    def bruteforce(self, p: int) -> list[str]:
+    def bruteforce(self, p: int) -> tuple[str, ...]:
         words = self._bruteforce.pop(p, None)
         if words is None:
-            words = enumerate_mss_bruteforce(p, workers=self.workers).words()
+            words = enumerate_mss_bruteforce(p, workers=self.workers).rows
         self._reads[p] = self._reads.get(p, 0) + 1
         if self._reads[p] < self._readers:
             self._bruteforce[p] = words
         return words
-
-
-def _all_candidates(p: int):
-    for mid in itertools.product("RL", repeat=p - 2):
-        yield _admitted("R" + "".join(mid) + "C")
 
 
 def _suite_oracle(run: _Run) -> list[CheckResult]:
@@ -98,7 +89,7 @@ def _suite_oracle(run: _Run) -> list[CheckResult]:
     checked = 0
     for p in range(2, run.pmax + 1):
         mss = set(run.bruteforce(p))  # route a's verdict on every candidate
-        for seq in _all_candidates(p):  # parsed once, shared by routes b and c
+        for seq in map(_admitted, _rl_words(p - 2, "R", "C")):  # shared by routes b and c
             checked += 1
             a = seq.symbols in mss
             b = is_shift_maximal_signs(seq)
@@ -118,7 +109,7 @@ def _suite_oracle(run: _Run) -> list[CheckResult]:
 def _suite_construction(run: _Run) -> list[CheckResult]:
     out = []
     for p in range(2, run.pmax + 1):
-        structured = run.structured(p)
+        structured = run.structured(p).rows
         brute = run.bruteforce(p)
         ok = structured == brute
         out.append(
@@ -138,9 +129,9 @@ def _suite_counting(run: _Run) -> list[CheckResult]:
     bad_blocks = [(m, max_run) for m in range(13) for max_run in range(7)
                   if not blocks_report(m, max_run, verify=True).matches]
     bad_single = [p for p in range(2, pmax + 1) if count_nonprimary_single_group(p)
-                  != enumerated_single_group_nonprimary(run.sequences(p))]
+                  != enumerated_single_group_nonprimary(run.structured(p))]
     bad_cores = [p for p in range(4, pmax + 1) if count_nonprimary_cores(p)
-                 != len(enumerated_core_factors(run.sequences(p)))]
+                 != len(enumerated_core_factors(run.structured(p)))]
     return [
         CheckResult("counting", "block formula vs enumeration (m<=12, run<=6)",
                     not bad_blocks, f"{len(bad_blocks)} mismatches"),
@@ -155,11 +146,12 @@ def _suite_roundtrip(run: _Run) -> list[CheckResult]:
     out = []
     failures = 0
     pairs = 0
-    for pa, pb in itertools.product(range(2, 13), repeat=2):
+    seqs = {p: list(run.structured(p)) for p in range(2, 13)}
+    for pa, pb in itertools.product(seqs, repeat=2):
         if pa * pb > 24:
             continue
-        for a in run.structured(pa):
-            for b in run.structured(pb):
+        for a in seqs[pa]:
+            for b in seqs[pb]:
                 pairs += 1
                 composed = compose(a, b)
                 if not is_shift_maximal(composed):
@@ -180,7 +172,7 @@ def _suite_roundtrip(run: _Run) -> list[CheckResult]:
     shape_hits = 0
     limit = min(run.pmax, 14)
     for p in range(2, limit + 1):
-        for s in run.sequences(p):
+        for s in run.structured(p):
             hits = check_stem_shape(s)
             try:
                 factor_interleaved_core(s)

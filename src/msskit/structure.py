@@ -136,6 +136,14 @@ def _decompose(body: str) -> Union[BlockForm, int]:
     return form
 
 
+def _single_group_q(body: str) -> Optional[int]:
+    """The head run q when ``body`` is one head copy ``R L^q`` and one interior
+    block, else None.  ``body`` must start with R and keep the run bound, as a
+    shift-maximal word does; its head copies are then the occurrences of R L^q."""
+    q = _run_end(body, 1) - 1
+    return q if body.count("R" + "L" * q) == 1 else None
+
+
 def block_decompose(seq: SeqLike) -> BlockForm:
     """Unique head-group parse of an admissible sequence starting with R.
 

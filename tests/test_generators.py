@@ -1,11 +1,13 @@
 """Block construction, later-block derivation, and the two enumerators."""
 
 import functools
+import itertools
 from collections import Counter
 
 import pytest
 
 from msskit import (
+    AdmissibleSeq,
     NotAdmissibleError,
     derive_later_blocks,
     enumerate_blocks,
@@ -15,6 +17,7 @@ from msskit import (
     max_l_run,
     sort_parity_lex,
 )
+from msskit.generators import _rl_words
 from msskit.structure import block_decompose, is_mss_structured
 
 from conftest import brute_blocks, brute_parity_lex_less
@@ -209,3 +212,55 @@ class TestEnumerators:
         assert len(set(words)) == len(words)
         assert all(is_shift_maximal(w) for w in words)
         assert all(len(w) == 11 for w in words)
+
+
+class TestWordBuilder:
+    """The one R/L word builder spells what itertools.product spells."""
+
+    @pytest.mark.parametrize("head,tail", [("", ""), ("R", ""), ("", "C"), ("RLL", "RC")])
+    def test_equals_product_spelling(self, head, tail):
+        for n in range(13):
+            expected = [head + "".join(t) + tail for t in itertools.product("RL", repeat=n)]
+            assert list(_rl_words(n, head, tail)) == expected, n
+
+
+class TestPlainWordRows:
+    """Enumerations store plain words and wrap them only on iteration."""
+
+    @pytest.mark.parametrize("enumerate_mss", [enumerate_mss_structured, enumerate_mss_bruteforce])
+    def test_rows_are_words_and_iterate_as_sequences(self, enumerate_mss):
+        enum = enumerate_mss(10)
+        assert all(type(w) is str for w in enum.rows)
+        assert list(enum) == [AdmissibleSeq(w) for w in enum.rows]
+        assert enum.sequences == tuple(AdmissibleSeq(w) for w in enum.rows)
+        assert enum.words() == list(enum.rows)
+        assert len(enum) == len(enum.rows) == 51
+        assert enum.period == 10
+
+
+def mobius(n):
+    result, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            result = -result
+        d += 1
+    return -result if n > 1 else result
+
+
+def necklace_count(p):
+    """OEIS A000048: (1/2p) times the sum over odd d | p of mu(d) 2^(p/d)."""
+    total = sum(mobius(d) * 2 ** (p // d) for d in range(1, p + 1, 2) if p % d == 0)
+    assert total % (2 * p) == 0
+    return total // (2 * p)
+
+
+class TestClosedFormTotal:
+    def test_formula_at_small_periods(self):
+        assert [necklace_count(p) for p in range(2, 12)] == [1, 1, 2, 3, 5, 9, 16, 28, 51, 93]
+
+    @pytest.mark.parametrize("p", range(2, 21))
+    def test_structured_count_equals_a000048(self, p):
+        assert len(enumerate_mss_structured(p)) == necklace_count(p)

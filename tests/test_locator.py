@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -72,6 +73,11 @@ def mpf_bisection(word, tol=1e-13, eps=1e-12, max_iter=200, dps=30):
         else:
             hi = mid
     return None
+
+
+def is_least_scale(k, base, tol):
+    """Whether k is the least integer with base^k tol >= 1, for a Fraction tol."""
+    return Fraction(base) ** k * tol >= 1 > Fraction(base) ** (k - 1) * tol
 
 
 def default_dps(p):
@@ -382,6 +388,57 @@ class TestArguments:
         for tol in (1e-13, 1e-2, 2.0**-40, 1e-300, 5e-324, mpf("1e-20"), MP40.mpf("1e-300")):
             digits, halvings = locator._tol_scales(tol)
             assert (digits, halvings) == (math.ceil(-math.log10(tol)), math.ceil(-math.log2(tol)))
+
+    def test_tol_and_eps_above_the_float_range(self):
+        # float() of this mpf is inf, yet it is finite: both functions take
+        # it at its exact value.  The defaults it sizes, dps 30 and 200
+        # steps, are the oracle's own, and a float tol of 1e300 already
+        # gives r = 3.5 after one step.
+        big = mpf("1e400")
+        assert float(big) == math.inf
+        expected = mpf_bisection("RLC", tol=big)
+        assert expected == mpf_bisection("RLC", tol=1e300)
+        assert (expected[1], expected[3]) == (3.5, 1)
+        found = locate("RLC", tol=big)
+        assert found.r_star.context.dps == 30
+        assert _as_tuple(found) == expected
+        assert _as_tuple(locate("RLC", tol=1e300)) == expected
+        # every orbit point lies within eps of 1/2 and reads C, so neither converges
+        assert mpf_bisection("RLC", eps=big) is None
+        with pytest.raises(LocateError, match="^RLC: no convergence within 200 bisection steps$"):
+            locate("RLC", eps=big)
+        assert itinerary(3.5, 3, eps=big) == "CCC"
+
+    def test_default_sizes_above_the_float_range(self):
+        # Both scales are then negative: the least integers k with
+        # 10^k tol >= 1 and 2^k tol >= 1, whether the mantissa is shifted
+        # left or right.
+        rng = random.Random(20261020)
+        ctx = mpmath.ctx_mp.MPContext()
+        signs = Counter()
+        for _ in range(300):
+            man = rng.getrandbits(rng.randint(1, 1500)) | 1
+            exp = rng.randint(1030, 5000) - man.bit_length()
+            signs[exp >= 0] += 1
+            tol = ctx.make_mpf((0, man, exp, man.bit_length()))
+            assert float(tol) == math.inf
+            exact = Fraction(man) * Fraction(2)**exp
+            digits, halvings = locator._tol_scales(tol)
+            assert is_least_scale(digits, 10, exact) and is_least_scale(halvings, 2, exact), tol
+        assert signs[True] and signs[False]
+        assert locator._tol_scales(ctx.mpf(2)**1024) == (-308, -1024)
+        assert locator._tol_scales(ctx.make_mpf(from_man_exp(5**400, 400))) == (-400, -1328)  # 10^400
+
+    @pytest.mark.parametrize("bad", [mpf("inf"), mpf("-inf"), mpf("nan")])
+    def test_rejects_non_finite_mpfs(self, bad):
+        tol_message = re.escape(f"tol must be finite and positive, got {bad!r}")
+        eps_message = re.escape(f"eps must be finite and >= 0, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{tol_message}$"):
+            locate("RLC", tol=bad)
+        with pytest.raises(ValueError, match=f"^{eps_message}$"):
+            locate("RLC", eps=bad)
+        with pytest.raises(ValueError, match=f"^{eps_message}$"):
+            itinerary(3.5, 3, eps=bad)
 
     def test_zero_eps_still_locates(self):
         found = locate("RLC", eps=0)

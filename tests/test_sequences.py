@@ -388,17 +388,17 @@ class TestAdmittedWords:
             if module.__name__.startswith("msskit") and vars(module).get("_admitted") is _admitted:
                 monkeypatch.setattr(module, "_admitted", validating)
         mss = {}
-        for p in range(2, 13):
-            mss[p] = enumerate_mss_structured(p).words()
-            assert enumerate_mss_bruteforce(p).words() == mss[p]
+        for p in range(2, 13):  # iterated, so every row passes through _admitted
+            mss[p] = [s.symbols for s in enumerate_mss_structured(p)]
+            assert [s.symbols for s in enumerate_mss_bruteforce(p)] == mss[p]
         for pa, pb in itertools.product(mss, repeat=2):
             for a, b in itertools.product(mss[pa], mss[pb]) if pa * pb <= 24 else ():
                 composed = compose(a, b)
                 factor_tree(composed)
                 assert all(compose(*split) == composed for split in factor_all(composed))
         big = "RL^4RL^3RRL^3RRL^4RL^4RL^4RL^3RRL^3C"
-        for word in [big, "RL^2RLRRL^2RLC", *(w for p in range(2, 17)
-                                             for w in enumerate_mss_structured(p).words())]:
+        for word in [big, "RL^2RLRRL^2RLC", *(s.symbols for p in range(2, 17)
+                                             for s in enumerate_mss_structured(p))]:
             try:
                 factor_interleaved_core(word)
             except ShapeError:

@@ -198,6 +198,33 @@ class TestSharedVerdicts:
         assert structure._rejected.cache_info().maxsize is not None
 
 
+class TestSingleGroup:
+    """The single-group question the counting cross-checks ask, answered
+    without a block form, against the block form's answer."""
+
+    @staticmethod
+    def by_block_form(seq):
+        form = block_decompose(seq)
+        return form.q if form.group_count == 1 and form.runs[0][0] == 1 else None
+
+    def test_agrees_with_block_decompose_on_words_and_factors(self):
+        from msskit.composition import _divisor_scan
+        from msskit.generators import enumerate_mss_structured
+        from msskit.structure import _single_group_q
+
+        words = factors = singles = 0
+        for p in range(2, 17):
+            for s in enumerate_mss_structured(p):
+                words += 1
+                assert _single_group_q(s.body) == self.by_block_form(s), s
+                singles += _single_group_q(s.body) is not None
+                for split in _divisor_scan(s):
+                    for f in split:
+                        factors += 1
+                        assert _single_group_q(f.body) == self.by_block_form(f), (s, f)
+        assert (words, singles, factors) == (4418, 3548, 176)
+
+
 class TestGeneratorHandoff:
     """The generator's block forms go straight to the private core."""
 
