@@ -112,16 +112,17 @@ def _blocks_cached(length: int, max_run: int) -> tuple[str, ...]:
     q = max_run + 1
     tiles, rem = divmod(length, q)
 
-    def tile_variants(first_hi: int, width: int):
+    @functools.lru_cache(maxsize=None)  # for this call only: many prefixes share first_hi
+    def tile_variants(first_hi: int, width: int) -> list[tuple[str, int]]:
         """Fillings of one width-q tile with first R at or before first_hi
-        and anything between first and last R.  Yields (word, last_r_pos)."""
+        and anything between first and last R, as (word, last_r_pos)."""
+        out = []
         for f in range(1, first_hi + 1):
-            for l in range(f, width + 1):
-                if l == f:
-                    yield "L" * (f - 1) + "R" + "L" * (width - l), l
-                else:
-                    for word in _rl_words(l - f - 1, "L" * (f - 1) + "R", "R" + "L" * (width - l)):
-                        yield word, l
+            out.append(("L" * (f - 1) + "R" + "L" * (width - f), f))
+            for l in range(f + 1, width + 1):
+                ends = _rl_words(l - f - 1, "L" * (f - 1) + "R", "R" + "L" * (width - l))
+                out.extend((word, l) for word in ends)
+        return out
 
     # The full tiles, one at a time, as (prefix so far, last R of its last
     # tile); the first tile, or the remainder if there is none, starts with R.
@@ -129,13 +130,11 @@ def _blocks_cached(length: int, max_run: int) -> tuple[str, ...]:
     for _ in range(tiles):
         prefixes = [(acc + word, last) for acc, prev_last in prefixes
                     for word, last in tile_variants(prev_last, q)]
+    free = list(_rl_words(rem))  # every remainder, which "" is when there is none
     found: set[str] = set()
     for acc, prev_last in prefixes:
-        if rem == 0:
-            found.add(acc)
-        elif prev_last >= rem + 1:
-            # Even an all-L remainder stays within the run bound.
-            found.update(_rl_words(rem, acc))
+        if prev_last > rem:  # even an all-L remainder stays within the run bound
+            found.update(map(acc.__add__, free))
         else:
             found.update(acc + word for word, _ in tile_variants(prev_last, rem))
     return tuple(sorted(found))
