@@ -82,8 +82,8 @@ class PeriodEnumeration:
 
 def _rl_words(n: int, head: str = "", tail: str = ""):
     """``head + w + tail`` for every word w over {R, L} of length n, in
-    ``itertools.product("RL", repeat=n)`` order.  The last six letters
-    come from a table of endings, so memory stays bounded at any n."""
+    ``itertools.product("RL", repeat=n)`` order.  The last six letters (or
+    all n) come from a table of endings, so memory stays bounded at any n."""
     k = min(n, 6)
     ends = ["".join(t) + tail for t in itertools.product("RL", repeat=k)]
     for t in itertools.product("RL", repeat=n - k):

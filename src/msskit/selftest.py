@@ -69,7 +69,7 @@ class _Run:
         self._readers = sum(name in _BRUTEFORCE_READERS for name in chosen)
 
     def structured(self, p: int) -> PeriodEnumeration:
-        """Its ``rows`` are the words; it iterates as :class:`AdmissibleSeq`."""
+        """Period p's structured enumeration: plain ``rows``, wrapped on iteration."""
         if p not in self._structured:
             self._structured[p] = enumerate_mss_structured(p)
         return self._structured[p]
