@@ -30,16 +30,16 @@ what it can prove:
 2. mpmath extended precision (30 significant digits, more for long
    periods) decides every step the first leaves open and is the only
    stage that ends the search, so it computes every reported residual.
-   Its orbit makes each of r x, 1 - x, their product and x - 1/2 with
-   exact integer operations rounded to nearest-even at prec bits, which
-   is what libmp's correctly rounded calls return: the bits of mpf
-   arithmetic, without the object layer or libmp's call chain.
+   Its orbit computes r x, 1 - x, their product and x - 1/2 exactly on
+   integers, each rounded to nearest-even at prec bits as libmp's
+   correctly rounded calls are: the bits of mpf arithmetic.
 
 The fixed stage abstains instead of guessing, so every step goes the way
 an all-mpmath bisection takes it and the result (parameter, residual and
 step count) is that bisection's, to the last bit, whichever stage
 decided each step.  In practice mpmath runs once per call, on the step
-that ends the search.
+that ends the search; that probe's p orbit points are then reclassified,
+as :func:`itinerary` reads them, against the whole word.
 
 Ahead of the two stages sits a root enclosure (interval Newton, after
 R. E. Moore, *Interval Analysis*, 1966).  Once the whole prefix has
@@ -67,6 +67,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Union
 
 import mpmath
@@ -132,10 +133,15 @@ def _finite(x) -> bool:
     return isinstance(x, int) or math.isfinite(x)
 
 
+def _check_type(name: str, x) -> None:
+    """Raise a TypeError unless ``x`` is an int, float or mpf, whose exact value is known."""
+    if not isinstance(x, (int, float)) and not hasattr(x, "_mpf_"):
+        raise TypeError(f"{name} must be an int, float or mpf, got {type(x).__name__}")
+
+
 def _check_eps(eps) -> None:
-    """Raise unless ``eps`` is a finite int, float or mpf >= 0, whose exact value is known."""
-    if not isinstance(eps, (int, float)) and not hasattr(eps, "_mpf_"):
-        raise TypeError(f"eps must be an int, float or mpf, got {type(eps).__name__}")
+    """Raise unless ``eps`` is a finite int, float or mpf >= 0."""
+    _check_type("eps", eps)
     if not (_finite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
 
@@ -143,12 +149,12 @@ def _check_eps(eps) -> None:
 def _tol_scales(tol) -> tuple:
     """ceil(-log10 tol) and ceil(-log2 tol), which size locate's default dps and max_iter.
 
-    An mpf ``tol`` outside the float range, at either end, is read at its
-    exact value, m 2^e with m odd; any other is read by math's logarithms.
+    A ``tol`` outside the float range, at either end, is read at its exact
+    value, m 2^e with m odd; any other is read by math's logarithms.
     """
-    if 0 < float(tol) < math.inf:
+    _, man, exp, _ = raw = mpf.mpf_convert_rhs(tol)
+    if 0 < to_float(raw, rnd=round_nearest) < math.inf:
         return math.ceil(-math.log10(tol)), math.ceil(-math.log2(tol))
-    _, man, exp, _ = tol._mpf_
     halvings = 1 - exp - man.bit_length()  # 2^-halvings <= tol < 2^(1 - halvings)
     if halvings < 0:  # above the float range: -floor(log10 tol), from floor(tol)
         whole = man << exp if exp >= 0 else man >> -exp
@@ -187,9 +193,7 @@ def itinerary(r: Param, steps: int, eps: float = _DEFAULT_EPS) -> str:
     if not 0 < rv <= 4:
         raise ValueError(f"parameter {rv} outside (0, 4]")
     prec, rv = (rv.context.prec, rv._mpf_) if hasattr(rv, "_mpf_") else (53, from_float(float(rv)))
-    _, eps_m, eps_e, _ = mpf.mpf_convert_rhs(eps)  # exact, as comparisons are
-    orbit = _orbit(rv, prec)
-    return "".join(_symbol(*next(orbit), eps_m, eps_e) for _ in range(steps))
+    return _word(islice(_orbit(rv, prec), steps), eps)
 
 
 @dataclass(frozen=True)
@@ -247,7 +251,13 @@ def _symbol(m: int, e: int, eps_m: int, eps_e: int) -> str:
     return "R" if m > 0 else "L"
 
 
-def _probe(r: tuple, prefix: str, signs: tuple, eps: tuple, prec: int):
+def _word(points, eps) -> str:
+    """The symbols of the distances (m, e) from 1/2 in ``points``, C within ``eps`` exactly."""
+    _, eps_m, eps_e, _ = mpf.mpf_convert_rhs(eps)
+    return "".join(_symbol(m, e, eps_m, eps_e) for m, e in points)
+
+
+def _probe(r: tuple, prefix: str, signs: tuple, eps: tuple, prec: int, points=None):
     """Compare the critical itinerary at r against the target prefix.
 
     ``r`` and ``eps`` are raw mpf values, rounded to nearest at ``prec``
@@ -259,17 +269,20 @@ def _probe(r: tuple, prefix: str, signs: tuple, eps: tuple, prec: int):
     the raw mpf f^p(1/2) - 1/2 for the final steering and residual.  A
     dead-band hit before the prefix ends is undecidable here and reads
     as _BELOW: superstable points of shorter period are isolated, so the
-    search escapes upward.
+    search escapes upward.  A list ``points`` gets each (m, e) point read.
     """
     _, eps_m, eps_e, _ = eps
+    points = [] if points is None else points
     orbit = _orbit(r, prec)
-    for i, (want, (m, e)) in enumerate(zip(prefix, orbit)):
-        got = _symbol(m, e, eps_m, eps_e)
+    for i, (want, point) in enumerate(zip(prefix, orbit)):
+        points.append(point)
+        got = _symbol(*point, eps_m, eps_e)
         if got == "C":
             return _BELOW, None
         if got != want:
             return -signs[i], None
-    return _MATCHED, from_man_exp(*next(orbit))
+    points.append(next(orbit))
+    return _MATCHED, from_man_exp(*points[-1])
 
 
 def _probe_fixed(mid: int, prefix: str, signs: tuple, bits: int, eps_fix: int, tol_fix: int):
@@ -490,8 +503,9 @@ def locate(
     max(30, ceil(p log10 4) + ceil(-log10 tol) + 8) significant digits,
     since the residual moves like 4^p per unit of r, and ``max_iter`` is
     max(200, 2p + ceil(-log2 tol) + 60) bisection steps, which is 200 at
-    the default ``tol`` for every p <= 48; an mpf ``tol`` below the float
-    range is read at its exact value.  ``tol`` must be finite and
+    the default ``tol`` for every p <= 48; a ``tol`` outside the float
+    range is read at its exact value.  ``tol`` and ``eps`` must each be an
+    int, float or mpf (else ``TypeError``); ``tol`` must be finite and
     positive, ``eps`` finite and >= 0, and an explicit ``dps`` or
     ``max_iter`` at least 1; anything else raises ``ValueError``.
 
@@ -508,12 +522,12 @@ def locate(
     one comparison, each later midpoint outside an interval (a, b) around
     the root; it does so only where it proves the mpmath probe's verdict,
     so it cannot change a result either.
-    The mpmath stage's orbit uses exact integer operations rounded to
-    nearest-even at prec bits, which is what libmp's correctly rounded
-    calls return, so its bits cannot differ from mpf arithmetic's.
-    A converged parameter is confirmed by an independent :func:`itinerary`
-    of the whole orbit before it is returned.
+    The mpmath stage's orbit is mpf arithmetic's to the bit (see
+    :func:`_orbit`), and the probe that ends the search keeps its p
+    points: before a parameter is returned they are reclassified, as
+    :func:`itinerary` reads them, against the whole target word.
     """
+    _check_type("tol", tol)
     if not (_finite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     _check_eps(eps)
@@ -565,25 +579,18 @@ def locate(
             verdict, matched = _probe_fixed(mid, prefix, signs, bits, eps_fix, tol_fix)
         if verdict is None:
             r = from_man_exp(mid, -g)
-            verdict, gap = _probe(r, prefix, signs, eps_mp, prec)
+            verdict, gap = _probe(r, prefix, signs, eps_mp, prec, points := [])
             if verdict == _MATCHED:
                 matched = True
                 dist = mpf_abs(gap, prec, round_nearest)
                 if mpf_lt(dist, tol_mp):
-                    r_star = ctx.make_mpf(r)
-                    # An independent reclassification of the orbit, kept as a
-                    # guard although the probe has cleared it: steps 1..p-1
-                    # in the search's dead band, step p in the one widened
-                    # to a looser tol, so that it still reads as C.
-                    word = itinerary(r_star, p, eps)
-                    if tol > eps and word[-1] != "C":
-                        word = word[:-1] + itinerary(r_star, p, tol)[-1]
+                    # a guard although the probe has cleared it: its orbit as itinerary
+                    # reads it, at the exact eps, with step p's C widened to a looser tol
+                    word = _word(points[:-1], eps) + _word(points[-1:], max(eps, tol))
                     if word != s.symbols:
-                        raise LocateError(
-                            f"{s}: residual converged but itinerary reads {word}"
-                        )
+                        raise LocateError(f"{s}: residual converged but itinerary reads {word}")
                     residual = to_float(dist, rnd=round_nearest)
-                    return LocatedSequence(s.symbols, r_star, residual, iteration)
+                    return LocatedSequence(s.symbols, ctx.make_mpf(r), residual, iteration)
                 # steer by the symbol the orbit would print at step p (gap != 0)
                 verdict = -signs[-1] if gap[0] else signs[-1]
         if verdict == _BELOW:

@@ -314,6 +314,67 @@ class TestMatchesMpfBisection:
             expected = mpf_bisection(word, tol=tol, **default_args(len(word), tol))
             assert _as_tuple(locate(word, tol=tol)) == expected, word
 
+
+class TestClosingReclassification:
+    """A converged search rereads the closing probe's own orbit against the whole word."""
+
+    @pytest.mark.parametrize("kwargs, least", [
+        ({}, 146), ({"tol": 1e-3}, 146), ({"dps": 9, "tol": 1e-9, "eps": 1e-9}, 15),
+    ])
+    def test_one_orbit_per_mpf_probe(self, monkeypatch, kwargs, least):
+        # The confirmation starts no orbit of its own: every _orbit start
+        # is an mpf probe's, converged calls included.
+        counts = Counter()
+        for name in ("_orbit", "_probe"):
+            def counted(*args, _name=name, _inner=getattr(locator, name)):
+                counts[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(locator, name, counted)
+        words = period_words(10) + [extremal(p) for p in range(11, 41)]
+        for word in words:
+            try:
+                locate(word, **kwargs)
+                counts["converged"] += 1
+            except LocateError:
+                pass
+        assert counts["converged"] >= least
+        assert counts["_orbit"] == counts["_probe"] >= counts["converged"]
+
+    @pytest.mark.parametrize("misread, word, read", [
+        (lambda w: w.replace("C", "R"), "RLRRC", "RLRRR"),
+        (lambda w: w.replace("R", "L", 1), "RLRRC", "LLRRC"),
+    ], ids=["step-p", "step-1"])
+    @pytest.mark.parametrize("kwargs", [{}, {"tol": 1e-3, "eps": 1e-5}])
+    def test_guard_fires_on_a_misread_orbit(self, monkeypatch, misread, word, read, kwargs):
+        classify = locator._word
+        monkeypatch.setattr(locator, "_word", lambda points, eps: misread(classify(points, eps)))
+        message = re.escape(f"{word}: residual converged but itinerary reads {read}")
+        with pytest.raises(LocateError, match=f"^{message}$"):
+            locate(word, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, least", [
+        ({"dps": 14, "tol": 1e-12, "eps": 1e-12}, 100), ({"eps": MP40.mpf("1e-12")}, 116),
+    ], ids=["50-bit", "136-bit-eps"])
+    def test_results_read_as_their_words_at_the_exact_eps(self, kwargs, least):
+        # The search compares with eps rounded to the working precision
+        # (50 and 103 bits here), which moves it; the confirmation reads the
+        # orbit at eps's exact value, as itinerary does on the returned
+        # parameter.
+        eps = kwargs["eps"]
+        converged = 0
+        for word in period_words(10):
+            try:
+                found = locate(word, **kwargs)
+            except LocateError:
+                continue
+            converged += 1
+            prec = found.r_star.context.prec
+            assert mpf_pos(mpf.mpf_convert_rhs(eps), prec, round_nearest) != mpf.mpf_convert_rhs(eps)
+            assert itinerary(found.r_star, len(word), eps) == word
+        assert converged >= least
+
+
 class TestOrder:
     def test_period_four_order(self):
         rows = {w: float(locate(w).r_star) for w in ["RC", "RLRC", "RLC", "RLLC"]}
@@ -428,6 +489,28 @@ class TestArguments:
         assert signs[True] and signs[False]
         assert locator._tol_scales(ctx.mpf(2)**1024) == (-308, -1024)
         assert locator._tol_scales(ctx.make_mpf(from_man_exp(5**400, 400))) == (-400, -1328)  # 10^400
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 10**13), Fraction(1, 10**400), Decimal("1e-13"),
+                                     Decimal("1e-400"), "1e-13", None],
+                             ids=["Fraction", "Fraction-1e-400", "Decimal", "Decimal-1e-400",
+                                  "str", "None"])
+    def test_rejects_tol_of_another_type(self, tol):
+        # as for eps, a tol whose exact value is not known is a TypeError
+        message = f"^tol must be an int, float or mpf, got {type(tol).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            locate("RLC", tol=tol)
+
+    def test_int_tol_above_the_float_range(self):
+        # read at its exact value, as an mpf there is: 10^400 sizes the
+        # defaults as mpf("1e400") does, and both give r = 3.5 after one step
+        assert locator._tol_scales(10**400) == (-400, -1328)
+        assert locator._tol_scales(2**1024) == (-308, -1024)
+        for word in ("RLC", "RLRRC", extremal(12)):
+            found = locate(word, tol=10**400)
+            assert found.r_star.context.dps == 30
+            assert _as_tuple(found) == _as_tuple(locate(word, tol=mpf("1e400"))), word
+            if word == "RLC":
+                assert (found.r_star, found.iterations) == (3.5, 1)
 
     @pytest.mark.parametrize("bad", [mpf("inf"), mpf("-inf"), mpf("nan")])
     def test_rejects_non_finite_mpfs(self, bad):
