@@ -26,9 +26,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
+
+from mpmath import isfinite, mpf
 
 from . import __version__
 from .composition import _divisor_scan, compose, factor_once, factor_tree
@@ -63,6 +66,19 @@ def _str2bool(text: str) -> bool:
     if low in ("false", "0", "no"):
         return False
     raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+
+
+def _tol(text: str):
+    """``--tol`` as a float, which sizes locate's default dps as it always has,
+    or as an mpf where a finite positive value underflows or overflows it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if value and math.isfinite(value):
+        return value
+    exact = mpf(text)
+    return exact if exact > 0 and isfinite(exact) else value
 
 
 def _emit_json(payload) -> None:
@@ -273,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_locate = sub.add_parser("locate", help="superstable parameter of a sequence")
     p_locate.add_argument("sequence")
-    p_locate.add_argument("--tol", type=float, default=1e-13)
+    p_locate.add_argument("--tol", type=_tol, default=1e-13)
     p_locate.set_defaults(func=_cmd_locate)
 
     p_order = sub.add_parser("verify-order", help="parameter order vs symbolic order")

@@ -38,8 +38,8 @@ The fixed stage abstains instead of guessing, so every step goes the way
 an all-mpmath bisection takes it and the result (parameter, residual and
 step count) is that bisection's, to the last bit, whichever stage
 decided each step.  In practice mpmath runs once per call, on the step
-that ends the search; that probe's p orbit points are then reclassified,
-as :func:`itinerary` reads them, against the whole word.
+that ends the search; that probe's step p is then reclassified, as
+:func:`itinerary` reads it, against the word's final C.
 
 Ahead of the two stages sits a root enclosure (interval Newton, after
 R. E. Moore, *Interval Analysis*, 1966).  Once the whole prefix has
@@ -524,8 +524,12 @@ def locate(
     so it cannot change a result either.
     The mpmath stage's orbit is mpf arithmetic's to the bit (see
     :func:`_orbit`), and the probe that ends the search keeps its p
-    points: before a parameter is returned they are reclassified, as
-    :func:`itinerary` reads them, against the whole target word.
+    points: before a parameter is returned, step p is reclassified, as
+    :func:`itinerary` reads it at the exact ``max(eps, tol)``, against the
+    final C.  Steps 1..p-1 cannot read otherwise: the points are prec-bit
+    numbers and rounding to nearest is monotone, so a point the probe read
+    as R or L against ``eps`` rounded to prec bits lies farther from 1/2
+    than the exact ``eps`` too.
     """
     _check_type("tol", tol)
     if not (_finite(tol) and tol > 0):
@@ -584,9 +588,9 @@ def locate(
                 matched = True
                 dist = mpf_abs(gap, prec, round_nearest)
                 if mpf_lt(dist, tol_mp):
-                    # a guard although the probe has cleared it: its orbit as itinerary
-                    # reads it, at the exact eps, with step p's C widened to a looser tol
-                    word = _word(points[:-1], eps) + _word(points[-1:], max(eps, tol))
+                    # a guard although the probe has cleared it: step p as itinerary reads
+                    # it, at the exact eps widened to a looser tol; steps 1..p-1 cannot differ
+                    word = prefix + _word(points[-1:], max(eps, tol))
                     if word != s.symbols:
                         raise LocateError(f"{s}: residual converged but itinerary reads {word}")
                     residual = to_float(dist, rnd=round_nearest)

@@ -10,10 +10,11 @@ structured generator and once by brute force, and its suites share those
 word lists.  The oracle reads route a, the direct symbol-level test, as
 membership in the brute-force enumeration, whose filter applies that
 test's kernel to every candidate; the sign-level and structured routes
-still run on every candidate.  The construction suite compares the two
-lists.  The counting and round-trip suites scan the structured words,
-which the enumerator has proved shift-maximal, without proving them
-again.
+still run on every candidate, which is built admissible and R-leading,
+through the private word-level cores behind their parse-once public
+entries.  The construction suite compares the two lists.  The counting
+and round-trip suites scan the structured words, which the enumerator
+has proved shift-maximal, without proving them again.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .counting import (
 from .errors import ShapeError
 from .generators import PeriodEnumeration, enumerate_mss_bruteforce, enumerate_mss_structured
 from .generators import _rl_words
-from .sequences import _admitted, is_shift_maximal, is_shift_maximal_signs
-from .structure import is_mss_structured
+from .sequences import _shift_maximal_signs_word, is_shift_maximal
+from .structure import _structured_verdict
 
 __all__ = ["CheckResult", "SUITES", "run_selftest"]
 
@@ -89,11 +90,11 @@ def _suite_oracle(run: _Run) -> list[CheckResult]:
     checked = 0
     for p in range(2, run.pmax + 1):
         mss = set(run.bruteforce(p))  # route a's verdict on every candidate
-        for seq in map(_admitted, _rl_words(p - 2, "R", "C")):  # shared by routes b and c
+        for word in _rl_words(p - 2, "R", "C"):  # admissible and R-leading by construction
             checked += 1
-            a = seq.symbols in mss
-            b = is_shift_maximal_signs(seq)
-            c = is_mss_structured(seq).is_mss
+            a = word in mss
+            b = _shift_maximal_signs_word(word)
+            c = _structured_verdict(word).is_mss
             if not (a == b == c):
                 disagreements += 1
     return [

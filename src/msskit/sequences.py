@@ -23,7 +23,9 @@ test rewrites a word into a +-1/0 sequence in which R flips a running
 sign, L copies it and C maps to 0, held as bytes; right shifts are then
 compared as bytes after zero padding, as the structured test of
 :mod:`msskit.structure` also does.  Keeping both routes independent lets
-each act as an oracle for the other.
+each act as an oracle for the other.  Each public test parses its input
+once and hands the plain word to a private core, which the selftest
+oracle calls directly on words admissible by construction.
 
 Input text may compress letter runs as ``RL^4RC``; see
 :func:`parse_sequence`.  A word is validated once, where it enters the
@@ -396,7 +398,12 @@ def is_shift_maximal_signs(seq: SeqLike) -> bool:
     s = as_sequence(seq)
     if not s.symbols.startswith("R"):
         raise NotAdmissibleError(f"{s}: sign-level test requires a leading R")
-    sig = _signs(s.symbols)
+    return _shift_maximal_signs_word(s.symbols)
+
+
+def _shift_maximal_signs_word(word: str) -> bool:
+    """:func:`is_shift_maximal_signs` on a plain admissible word known to start with R."""
+    sig = _signs(word)
     neg = sig.translate(_NEGATE)
     for k in range(1, len(sig)):
         if not _shift_below(sig, neg, k):

@@ -7,15 +7,16 @@ below q-1.  :func:`block_decompose` produces that parse and
 :func:`is_mss_structured` decides shift-maximality from it without
 enumerating all shifts.
 
-The test has two layers.  The public :func:`is_mss_structured` parses
-its input, derives the block form without raising (a run-bound failure
-is a position, not an exception; :func:`block_decompose` still raises
-:class:`RunLengthError` for its own callers), and applies the filters:
-run bound, single leading head group, nonempty final block.  The private
-core ``_test_form`` takes a block form that passed them, together with
-its word, and runs the critical-shift comparisons.  The structured
-enumerator builds each candidate from its block form, so it calls the
-core directly and never parses or decomposes its own words.
+The test has three layers.  The public :func:`is_mss_structured` parses
+its input once.  The private ``_structured_verdict``, which the selftest
+oracle calls on words admissible by construction, derives the block form
+of that plain word without raising (a run-bound failure is a position;
+:func:`block_decompose` still raises :class:`RunLengthError` for its own
+callers) and applies the filters: run bound, single leading head group,
+nonempty final block.  The core ``_test_form`` takes a block form that
+passed them, with its word, and runs the critical-shift comparisons; the
+structured enumerator builds each candidate from its block form and
+calls it directly.
 
 The structured test needs to examine one shift per group beyond the
 first: the shift landing on the last ``RL^q`` copy of the group.  Every
@@ -253,20 +254,24 @@ def is_mss_structured(seq: SeqLike) -> StructuredVerdict:
     s = as_sequence(seq)
     if not s.symbols.startswith("R"):
         raise NotAdmissibleError(f"{s}: MSS candidates start with R")
-    form = _decompose(s.body)
+    return _structured_verdict(s.symbols)
+
+
+def _structured_verdict(word: str) -> StructuredVerdict:
+    """:func:`is_mss_structured` on a plain admissible word known to start with R."""
+    form = _decompose(word[:-1])
     if isinstance(form, int):
         return _rejected(form, RULE_RUN_BOUND)
-
     q = form.q
     n1 = form.runs[0][0]
     if n1 >= 2:
         return _rejected((n1 - 1) * (q + 1), RULE_HEAD_EXPONENT)
     r = form.group_count
     if r >= 2 and form.runs[-1][1] == "":
-        return _rejected(s.period - (q + 2), RULE_EMPTY_TAIL)
+        return _rejected(len(word) - (q + 2), RULE_EMPTY_TAIL)
     if r == 1:
         return _ACCEPT
-    return _test_form(form, s.symbols)
+    return _test_form(form, word)
 
 
 def _test_form(form: BlockForm, word: str) -> StructuredVerdict:

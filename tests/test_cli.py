@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mpf
 
 import msskit
 from msskit.cli import main
@@ -206,6 +207,38 @@ class TestLocateVerbs:
         assert code == 1 and out == ""
         assert err.startswith("error: tol must be finite and positive")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol, shown", [("-1e400", "-inf"), ("-1e-400", "-0.0")])
+    def test_locate_rejects_negative_tol_outside_the_float_range(self, capsys, tol, shown):
+        code, out, err = run_cli(capsys, "locate", "RLC", f"--tol={tol}")
+        assert (code, out) == (1, "")
+        assert err == f"error: tol must be finite and positive, got {shown}\n"
+
+    def test_locate_tol_below_the_float_range(self, capsys):
+        # float("1e-400") is 0.0; the text is read as an mpf instead.
+        found = msskit.locate("RLC", tol=mpf("1e-400"))
+        code, out, err = run_cli(capsys, "locate", "RLC", "--tol", "1e-400")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "sequence": found.sequence,
+            "r_star": float(found.r_star),
+            "residual": found.residual,
+            "iterations": found.iterations,
+        }
+        assert found.iterations > 1000
+
+    def test_locate_tol_above_the_float_range(self, capsys):
+        # float("1e400") is inf; as an mpf every residual is below it.
+        code, out, err = run_cli(capsys, "locate", "RLC", "--tol", "1e400")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["r_star"], payload["iterations"]) == (3.5, 1)
+
+    def test_locate_tol_that_is_no_number(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "locate", "RLC", "--tol", "abc")
+        assert exc.value.code == 2
+        assert "argument --tol: invalid float value: 'abc'" in capsys.readouterr().err
 
     def test_locate_above_1000_bits(self, capsys):
         # tol = 1e-300 needs over 1000 bits of working precision.

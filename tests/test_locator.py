@@ -316,7 +316,7 @@ class TestMatchesMpfBisection:
 
 
 class TestClosingReclassification:
-    """A converged search rereads the closing probe's own orbit against the whole word."""
+    """A converged search rereads step p of the closing probe's own orbit."""
 
     @pytest.mark.parametrize("kwargs, least", [
         ({}, 146), ({"tol": 1e-3}, 146), ({"dps": 9, "tol": 1e-9, "eps": 1e-9}, 15),
@@ -343,8 +343,7 @@ class TestClosingReclassification:
 
     @pytest.mark.parametrize("misread, word, read", [
         (lambda w: w.replace("C", "R"), "RLRRC", "RLRRR"),
-        (lambda w: w.replace("R", "L", 1), "RLRRC", "LLRRC"),
-    ], ids=["step-p", "step-1"])
+    ], ids=["step-p"])
     @pytest.mark.parametrize("kwargs", [{}, {"tol": 1e-3, "eps": 1e-5}])
     def test_guard_fires_on_a_misread_orbit(self, monkeypatch, misread, word, read, kwargs):
         classify = locator._word
@@ -352,6 +351,32 @@ class TestClosingReclassification:
         message = re.escape(f"{word}: residual converged but itinerary reads {read}")
         with pytest.raises(LocateError, match=f"^{message}$"):
             locate(word, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"dps": 18}, {"eps": 0}, {"tol": 1e-100}],
+                             ids=["defaults", "dps-18", "eps-0", "tol-1e-100"])
+    def test_steps_before_p_read_as_the_word(self, monkeypatch, kwargs):
+        # Why the confirmation reads step p alone: each orbit point is a
+        # prec-bit number and rounding to nearest is monotone, so a point no
+        # farther from 1/2 than the exact eps is no farther than the rounded
+        # eps either.  Steps 1..p-1 of a matched probe, read as R or L against
+        # the rounded eps, therefore read the word at the exact eps too.
+        eps = kwargs.get("eps", locator._DEFAULT_EPS)
+        probe = locator._probe
+        matched = []
+
+        def recorded(r, prefix, signs, eps_mp, prec, points=None):
+            verdict, gap = probe(r, prefix, signs, eps_mp, prec, points)
+            if verdict == _MATCHED:
+                matched.append(points)
+            return verdict, gap
+
+        monkeypatch.setattr(locator, "_probe", recorded)
+        for word in period_words(10):
+            matched.clear()
+            locate(word, **kwargs)
+            assert matched  # the closing probe at least
+            for points in matched:
+                assert locator._word(points[:-1], eps) == word[:-1]
 
     @pytest.mark.parametrize("kwargs, least", [
         ({"dps": 14, "tol": 1e-12, "eps": 1e-12}, 100), ({"eps": MP40.mpf("1e-12")}, 116),

@@ -24,8 +24,9 @@ def _flip_on_target(fn, invert):
 ROUTES = {
     # Route a as the oracle now reaches it: the brute-force filter's kernel.
     "a": (generators, "_shift_maximal_word", operator.not_),
-    "b": (selftest, "is_shift_maximal_signs", operator.not_),
-    "c": (selftest, "is_mss_structured",
+    # Routes b and c as the oracle calls them: their word-level cores.
+    "b": (selftest, "_shift_maximal_signs_word", operator.not_),
+    "c": (selftest, "_structured_verdict",
           lambda v: dataclasses.replace(v, is_mss=not v.is_mss)),
 }
 
@@ -41,6 +42,23 @@ def test_oracle_reads_every_route(monkeypatch, route):
     [result] = run_selftest(pmax=8, suites=["oracle"])
     assert result.detail == "127 candidates, 1 disagreements"
     assert not result.ok
+
+
+def test_oracle_parses_nothing(monkeypatch):
+    # Every candidate is admissible and R-leading by construction, so the
+    # oracle hands plain words to the routes' cores without parsing them.
+    from msskit import sequences, structure
+
+    def refuse(seq):
+        raise AssertionError(f"{seq!r} parsed")
+
+    monkeypatch.setattr(sequences, "as_sequence", refuse)
+    monkeypatch.setattr(structure, "as_sequence", refuse)
+    if hasattr(selftest, "_admitted"):
+        monkeypatch.setattr(selftest, "_admitted", refuse)
+    [result] = run_selftest(pmax=10, suites="oracle")
+    assert result.ok
+    assert result.detail == "511 candidates, 0 disagreements"
 
 
 def test_broken_bruteforce_fails_construction(monkeypatch):

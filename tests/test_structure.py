@@ -198,6 +198,48 @@ class TestSharedVerdicts:
         assert structure._rejected.cache_info().maxsize is not None
 
 
+class TestWordCores:
+    """Routes b and c: a public entry that parses once, over a private core
+    that takes a plain admissible, R-leading word."""
+
+    def test_cores_match_their_entries(self):
+        from msskit.sequences import _shift_maximal_signs_word, is_shift_maximal_signs
+        from msskit.structure import _structured_verdict
+
+        for p in range(2, 15):
+            for word in all_candidates(p):
+                # the same shared verdict object, so failing shift and rule match too
+                assert _structured_verdict(word) is is_mss_structured(word), word
+                assert _shift_maximal_signs_word(word) == is_shift_maximal_signs(word), word
+
+    @pytest.mark.parametrize("value", [b"RLC", None, 12])
+    def test_entries_reject_what_is_not_a_str(self, value):
+        from msskit import is_shift_maximal_signs
+
+        message = f"a sequence must be a str or AdmissibleSeq, got {type(value).__name__}$"
+        for entry in (is_shift_maximal_signs, is_mss_structured):
+            with pytest.raises(TypeError, match=message):
+                entry(value)
+
+    @pytest.mark.parametrize("text, signs_message, structured_message", [
+        ("LRC", "LRC: sign-level test requires a leading R",
+         "LRC: MSS candidates start with R"),
+        ("L^2RC", "LLRC: sign-level test requires a leading R",
+         "LLRC: MSS candidates start with R"),
+        ("RXC", "cannot parse 'RXC' at offset 1", None),
+        ("RLCC", "'RLCC': interior symbols must be R or L", None),
+    ])
+    def test_entries_reject_inadmissible_words(self, text, signs_message, structured_message):
+        from msskit import is_shift_maximal_signs
+
+        # None: a symbol error, the same from both entries
+        for entry, message in [(is_shift_maximal_signs, signs_message),
+                               (is_mss_structured, structured_message or signs_message)]:
+            with pytest.raises(NotAdmissibleError) as exc:
+                entry(text)
+            assert str(exc.value) == message
+
+
 class TestSingleGroup:
     """The single-group question the counting cross-checks ask, answered
     without a block form, against the block form's answer."""
