@@ -250,8 +250,8 @@ class TestLocateVerbs:
         )
 
     def test_locate_at_a_loose_tol(self, capsys):
-        # At r = 3.5 the orbit passes 0.004 from 1/2 at step 4; the closing
-        # check reads steps 1..p-1 in the eps dead band, so it reads R there.
+        # At r = 3.5 the orbit passes 0.004 from 1/2 at step 4; steps 1..p-1
+        # are read in the eps dead band, not tol's, so it reads R there.
         code, out, err = run_cli(capsys, "locate", "RLRRRLRC", "--tol", "0.01")
         assert (code, err) == (0, "")
         assert out == (
