@@ -9,12 +9,14 @@ One :func:`run_selftest` call enumerates each period once by the
 structured generator and once by brute force, and its suites share those
 word lists.  The oracle reads route a, the direct symbol-level test, as
 membership in the brute-force enumeration, whose filter applies that
-test's kernel to every candidate; the sign-level and structured routes
+test's kernel to every candidate.  The sign-level and structured routes
 still run on every candidate, which is built admissible and R-leading,
-through the private word-level cores behind their parse-once public
-entries.  The construction suite compares the two lists.  The counting
-and round-trip suites scan the structured words, which the enumerator
-has proved shift-maximal, without proving them again.
+through the private cores behind their parse-once public entries: the
+bit-sliced sign-level kernel on fixed batches of ``_ORACLE_BATCH``
+candidates, so memory stays bounded at any pmax.  No two routes share a
+comparison kernel.  The construction suite compares the two lists.  The
+counting and round-trip suites scan the structured words, which the
+enumerator has proved shift-maximal, without proving them again.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .counting import (
 from .errors import ShapeError
 from .generators import PeriodEnumeration, enumerate_mss_bruteforce, enumerate_mss_structured
 from .generators import _rl_words
-from .sequences import _shift_maximal_signs_word, is_shift_maximal
+from .sequences import _shift_maximal_signs_mask, is_shift_maximal
 from .structure import _structured_verdict
 
 __all__ = ["CheckResult", "SUITES", "run_selftest"]
@@ -53,6 +55,7 @@ class CheckResult:
 
 
 _BRUTEFORCE_READERS = ("oracle", "construction")
+_ORACLE_BATCH = 4096  # candidates per call of the sign-level kernel
 
 
 class _Run:
@@ -90,13 +93,17 @@ def _suite_oracle(run: _Run) -> list[CheckResult]:
     checked = 0
     for p in range(2, run.pmax + 1):
         mss = set(run.bruteforce(p))  # route a's verdict on every candidate
-        for word in _rl_words(p - 2, "R", "C"):  # admissible and R-leading by construction
-            checked += 1
-            a = word in mss
-            b = _shift_maximal_signs_word(word)
-            c = _structured_verdict(word).is_mss
-            if not (a == b == c):
-                disagreements += 1
+        candidates = _rl_words(p - 2, "R", "C")  # admissible and R-leading by construction
+        while words := list(itertools.islice(candidates, _ORACLE_BATCH)):
+            signs = _shift_maximal_signs_mask(words)  # route b: bit i for words[i]
+            bits = format(signs, f"0{len(words)}b")[::-1]  # character i is bit i
+            checked += len(words)
+            for word, bit in zip(words, bits):
+                a = word in mss
+                b = bit == "1"
+                c = _structured_verdict(word).is_mss
+                if not (a == b == c):
+                    disagreements += 1
     return [
         CheckResult(
             "oracle",

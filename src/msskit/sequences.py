@@ -20,12 +20,14 @@ Two equivalent shift-maximality tests are provided on purpose.  The
 symbol-level test applies the order directly, to the shifts that start
 with R (any other is below the word at its first symbol).  The sign-level
 test rewrites a word into a +-1/0 sequence in which R flips a running
-sign, L copies it and C maps to 0, held as bytes; right shifts are then
-compared as bytes after zero padding, as the structured test of
-:mod:`msskit.structure` also does.  Keeping both routes independent lets
-each act as an oracle for the other.  Each public test parses its input
-once and hands the plain word to a private core, which the selftest
-oracle calls directly on words admissible by construction.
+sign, L copies it and C maps to 0, and compares each right shift,
+normalized and zero-padded, with it; it is bit-sliced, so a few int
+operations per shift and position decide a batch of words at once.  The
+structured test of :mod:`msskit.structure` has a byte comparator of its
+own, so no two routes share a kernel and each is an oracle for the
+others.  Each public test parses its input once and hands the plain word
+to a private core, which the selftest oracle calls directly on words
+admissible by construction.
 
 Input text may compress letter runs as ``RL^4RC``; see
 :func:`parse_sequence`.  A word is validated once, where it enters the
@@ -392,23 +394,52 @@ def is_shift_maximal_signs(seq: SeqLike) -> bool:
     full one.  Of the two signed copies of a shifted sequence, the one
     starting with -1 is dominated outright because the sequence itself
     starts with +1; only the copy normalized to start with +1 needs the
-    positional comparison, made by :func:`_shift_below`.  Requires a
+    positional comparison, made by the bit-sliced
+    :func:`_shift_maximal_signs_mask` on a batch of one.  Requires a
     sequence starting with R.
     """
     s = as_sequence(seq)
     if not s.symbols.startswith("R"):
         raise NotAdmissibleError(f"{s}: sign-level test requires a leading R")
-    return _shift_maximal_signs_word(s.symbols)
+    return _shift_maximal_signs_mask([s.symbols]) == 1
 
 
-def _shift_maximal_signs_word(word: str) -> bool:
-    """:func:`is_shift_maximal_signs` on a plain admissible word known to start with R."""
-    sig = _signs(word)
-    neg = sig.translate(_NEGATE)
-    for k in range(1, len(sig)):
-        if not _shift_below(sig, neg, k):
-            return False
-    return True
+def _shift_maximal_signs_mask(words: Sequence[str]) -> int:
+    """The sign-level test on a non-empty batch of admissible, R-leading
+    words of one period p: bit i is set iff ``words[i]`` passes.
+
+    Bit-sliced: int j holds, over the batch, whether each word's sign
+    entry j is +1 (an odd number of Rs in ``word[: j + 1]``, a prefix XOR
+    of the R columns).  Shift k's entry i, normalized to start with +1,
+    is +1 where columns k + i and k agree.  Each shift k = 1..p-2 walks
+    its positions with a mask of the words still undecided; where entries
+    differ, the shift is above iff its entry is +1.  At i = p-1-k the
+    shift's C meets the word's +-1 entry, so the padding is never reached,
+    and shift p-1, which starts with the C, is always below."""
+    p = len(words[0])
+    rows = "".join(reversed(words))  # words[0] in the lowest bit
+    ones = (1 << len(words)) - 1
+    cols = []
+    parity = 0
+    for j in range(p - 1):
+        parity ^= int(rows[j::p].translate(_R_BITS), 2)
+        cols.append(parity)
+    fail = 0
+    for k in range(1, p - 1):
+        undecided = ones & ~fail
+        if not undecided:
+            break
+        flip = ones ^ cols[k]  # shift entry i = flip ^ cols[k + i]
+        for i in range(1, p - 1 - k):
+            entry = flip ^ cols[k + i]
+            diff = entry ^ cols[i]
+            fail |= diff & entry & undecided
+            undecided &= ~diff
+            if not undecided:
+                break
+        else:
+            fail |= undecided & ~cols[p - 1 - k]
+    return ones & ~fail
 
 
 def max_l_run(word: str) -> int:

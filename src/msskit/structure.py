@@ -23,13 +23,15 @@ first: the shift landing on the last ``RL^q`` copy of the group.  Every
 other shift is dominated for free (it starts with a strictly shorter
 climb than the head, or inside an interior block, or on an earlier copy
 whose continuation is an entire extra head group).  Each examined shift
-is settled exactly by the sign-level comparison of
-:func:`msskit.sequences.is_shift_maximal_signs`: the shift's sign bytes,
-normalized to start with +1 and zero-padded, against the word's.  The
-group-level rules run alongside as a cross-check: the first diverging
-interior block goes through :func:`parity_lex_cmp`, reversed when beta,
-the count of Rs before it, is odd, and the first diverging head exponent
-through its parity rule.  Any disagreement raises, rather than silently
+is settled exactly by a sign-level comparison of its own: the shift's
+sign bytes (``_signs``), normalized to start with +1 and zero-padded,
+against the word's (``_shift_below``).  The bit-sliced kernel behind
+:func:`msskit.sequences.is_shift_maximal_signs` shares no code with it,
+so the selftest oracle's sign-level and structured routes stay
+independent.  The group-level rules run alongside as a cross-check: the
+first diverging interior block goes through :func:`parity_lex_cmp`,
+reversed when beta, the count of Rs before it, is odd, and the first
+diverging head exponent through its parity rule.  Any disagreement raises, rather than silently
 preferring one route.
 
 Verdicts are immutable values that callers may share: every accept is one
@@ -45,7 +47,7 @@ from typing import Optional, Union
 
 from .errors import NotAdmissibleError, RunLengthError
 from .sequences import AdmissibleSeq, SeqLike, as_sequence, parity_lex_cmp
-from .sequences import _NEGATE, _shift_below, _signs  # the sign-level comparison
+from .sequences import _NEGATE, _shift_below, _signs  # this test's byte comparison
 
 __all__ = [
     "RULE_RUN_BOUND",

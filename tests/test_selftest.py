@@ -13,21 +13,32 @@ from msskit.sequences import is_shift_maximal
 TARGET = "RLRRRLRC"  # an MSS word of period 8, one of the 16
 
 
-def _flip_on_target(fn, invert):
-    """``fn`` with its verdict inverted on TARGET alone."""
-    def flipped(arg):
-        verdict = fn(arg)
-        return invert(verdict) if str(arg) == TARGET else verdict
+def _flip_on_target(invert):
+    """A wrapper that inverts a word-level core's verdict on TARGET alone."""
+    def wrap(fn):
+        def flipped(arg):
+            verdict = fn(arg)
+            return invert(verdict) if str(arg) == TARGET else verdict
+        return flipped
+    return wrap
+
+
+def _flip_target_bit(fn):
+    """The batch kernel ``fn`` with TARGET's bit alone inverted."""
+    def flipped(words):
+        mask = fn(words)
+        return mask ^ (1 << words.index(TARGET)) if TARGET in words else mask
     return flipped
 
 
 ROUTES = {
     # Route a as the oracle now reaches it: the brute-force filter's kernel.
-    "a": (generators, "_shift_maximal_word", operator.not_),
-    # Routes b and c as the oracle calls them: their word-level cores.
-    "b": (selftest, "_shift_maximal_signs_word", operator.not_),
+    "a": (generators, "_shift_maximal_word", _flip_on_target(operator.not_)),
+    # Route b as the oracle calls it: the bit-sliced kernel on a batch.
+    "b": (selftest, "_shift_maximal_signs_mask", _flip_target_bit),
+    # Route c as the oracle calls it: its word-level core.
     "c": (selftest, "_structured_verdict",
-          lambda v: dataclasses.replace(v, is_mss=not v.is_mss)),
+          _flip_on_target(lambda v: dataclasses.replace(v, is_mss=not v.is_mss))),
 }
 
 
@@ -37,11 +48,23 @@ def _refuse(seq):
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_oracle_reads_every_route(monkeypatch, route):
-    module, name, invert = ROUTES[route]
-    monkeypatch.setattr(module, name, _flip_on_target(getattr(module, name), invert))
+    module, name, wrap = ROUTES[route]
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     [result] = run_selftest(pmax=8, suites=["oracle"])
     assert result.detail == "127 candidates, 1 disagreements"
     assert not result.ok
+
+
+def test_oracle_batches_are_bounded(monkeypatch):
+    # The sign-level kernel takes each period's candidates in fixed batches,
+    # so a period above 14 is split and no call holds more than 4,096 words.
+    sizes = []
+    kernel = selftest._shift_maximal_signs_mask
+    monkeypatch.setattr(selftest, "_shift_maximal_signs_mask",
+                        lambda words: sizes.append(len(words)) or kernel(words))
+    [result] = run_selftest(pmax=16, suites="oracle")
+    assert result.detail == "32767 candidates, 0 disagreements"
+    assert sizes == [2 ** (p - 2) for p in range(2, 15)] + [4096] * (2 + 4)
 
 
 def test_oracle_parses_nothing(monkeypatch):
@@ -61,8 +84,8 @@ def test_oracle_parses_nothing(monkeypatch):
 
 
 def test_broken_bruteforce_fails_construction(monkeypatch):
-    module, name, invert = ROUTES["a"]
-    monkeypatch.setattr(module, name, _flip_on_target(getattr(module, name), invert))
+    module, name, wrap = ROUTES["a"]
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     results = run_selftest(pmax=8, suites=["oracle", "construction"])
     assert [(r.suite, r.name, r.detail) for r in results if not r.ok] == [
         ("oracle", "three-route equivalence p<=8", "127 candidates, 1 disagreements"),

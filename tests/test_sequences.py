@@ -537,7 +537,7 @@ class TestKernelsMatchLoops:
         assert str(got.value) == str(expect.value)
 
     def test_sign_route_and_each_shift(self):
-        from msskit.sequences import _NEGATE, _shift_below, _signs
+        from msskit.sequences import _NEGATE, _shift_below, _shift_maximal_signs_mask, _signs
 
         # On an admissible word the shift's final C decides the comparison
         # before the padding is reached; on a word with no C, the padding
@@ -553,6 +553,21 @@ class TestKernelsMatchLoops:
             neg = sig.translate(_NEGATE)
             for k in range(1, len(word)):
                 assert _shift_below(sig, neg, k) == loop_padded_shift_less(lam, k), (word, k)
+
+        # The bit-sliced kernel, bit by bit, on every candidate with p <= 16:
+        # a whole period per batch, the oracle's 4,096, and sizes that
+        # straddle those batch edges.
+        for p in range(2, 17):
+            words = ["R" + "".join(mid) + "C" for mid in itertools.product("RL", repeat=p - 2)]
+            expect = [loop_shift_maximal_signs(word) for word in words]
+            for size in (len(words), 4096, 1, 3, 4097):
+                got = []
+                for start in range(0, len(words), size):
+                    batch = words[start:start + size]
+                    mask = _shift_maximal_signs_mask(batch)
+                    assert mask >> len(batch) == 0, (p, size, start)
+                    got.extend(mask >> i & 1 == 1 for i in range(len(batch)))
+                assert got == expect, (p, size)
 
     def test_max_l_run(self):
         def loop_max_l_run(word):

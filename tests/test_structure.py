@@ -203,14 +203,16 @@ class TestWordCores:
     that takes a plain admissible, R-leading word."""
 
     def test_cores_match_their_entries(self):
-        from msskit.sequences import _shift_maximal_signs_word, is_shift_maximal_signs
+        from msskit.sequences import _shift_maximal_signs_mask, is_shift_maximal_signs
         from msskit.structure import _structured_verdict
 
         for p in range(2, 15):
-            for word in all_candidates(p):
+            words = list(all_candidates(p))
+            mask = _shift_maximal_signs_mask(words)  # the whole period in one batch
+            for i, word in enumerate(words):
                 # the same shared verdict object, so failing shift and rule match too
                 assert _structured_verdict(word) is is_mss_structured(word), word
-                assert _shift_maximal_signs_word(word) == is_shift_maximal_signs(word), word
+                assert (mask >> i & 1 == 1) == is_shift_maximal_signs(word), word
 
     @pytest.mark.parametrize("value", [b"RLC", None, 12])
     def test_entries_reject_what_is_not_a_str(self, value):
