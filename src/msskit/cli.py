@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -101,22 +100,22 @@ def _cmd_enumerate(args) -> int:
             sys.stdout.write(f"{index}\t{render(s)}\n")
         return 0
     header = ["index", "sequence", "q", "block_form", "is_primary"]
-    rows = []
-    for index, s in enumerate(enum):
-        form = block_decompose(s)
-        block_form = f"q={form.q}:" + ";".join(f"{n},{b}" for n, b in form.runs)
-        primary = next(_divisor_scan(s), None) is None  # the enumerator proved s
-        rows.append([index, render(s), form.q, block_form, primary])
+
+    def rows():
+        for index, s in enumerate(enum):
+            form = block_decompose(s)
+            block_form = f"q={form.q}:" + ";".join(f"{n},{b}" for n, b in form.runs)
+            primary = next(_divisor_scan(s), None) is None  # the enumerator proved s
+            yield [index, render(s), form.q, block_form, primary]
+
     if args.format == "json":
-        sequences = [dict(zip(header, row)) for row in rows]
+        sequences = [dict(zip(header, row)) for row in rows()]
         _emit_json({"period": args.period, "method": args.method,
-                    "count": len(rows), "sequences": sequences})
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+                    "count": len(enum), "sequences": sequences})
+    else:  # csv, written row by row as it is built
+        writer = csv.writer(sys.stdout)
         writer.writerow(header)
-        writer.writerows(row[:-1] + [str(row[-1]).lower()] for row in rows)
-        sys.stdout.write(buf.getvalue())
+        writer.writerows(row[:-1] + [str(row[-1]).lower()] for row in rows())
     return 0
 
 

@@ -6,7 +6,9 @@ Three generators live here.
 of boxes: write ``m = j*q + rem`` for q = max_run + 1, give each full
 tile of q boxes at least one R, and constrain the first R of a tile to
 sit no later than the previous tile's last R, which caps every L-run at
-q-1 without ever scanning a rejected word.
+q-1 without ever scanning a rejected word.  Each block has one tiling
+and each tile's fillings come sorted, so the blocks come out once each
+and in lexicographic order.
 
 ``enumerate_mss_structured`` assembles candidate sequences from head
 groups and interior blocks and keeps the ones the structured test
@@ -15,7 +17,8 @@ leading head group, nonempty blocks and no L-run above q, so it passes
 the test's filters by construction, and the form goes straight to the
 test's private core instead of being parsed back out of the word.  A
 candidate with one head group has no critical shift, and the test
-accepts every such word, so it is kept without a call.
+accepts every such word, so it is kept without a call.  The table of
+blocks it draws from lasts one enumeration: no cache outlives the call.
 ``enumerate_mss_bruteforce`` filters the full candidate space
 ``R {L,R}^(p-2) C`` with the direct shift-maximality test and serves as
 the oracle the structured path is validated against (practical up to
@@ -94,7 +97,8 @@ def _rl_words(n: int, head: str = "", tail: str = ""):
 
 def enumerate_blocks(length: int, max_run: int) -> list[str]:
     """All words of the given length starting with R whose L-runs stay
-    at or below ``max_run``, in plain lexicographic order.
+    at or below ``max_run``, in the lexicographic order the tiling emits,
+    built afresh on each call: only an enumeration keeps a table of them.
 
     length 0 yields the empty list: an absent block is not a block.
     """
@@ -102,42 +106,41 @@ def enumerate_blocks(length: int, max_run: int) -> list[str]:
         raise ValueError("length must be >= 0")
     if max_run < 0:
         raise ValueError("max_run must be >= 0")
-    return list(_blocks_cached(length, max_run))
+    return _blocks(length, max_run)
 
 
-@functools.lru_cache(maxsize=None)
-def _blocks_cached(length: int, max_run: int) -> tuple[str, ...]:
+def _blocks(length: int, max_run: int) -> list[str]:
     if length == 0:
-        return ()
+        return []
     q = max_run + 1
     tiles, rem = divmod(length, q)
 
     @functools.lru_cache(maxsize=None)  # for this call only: many prefixes share first_hi
     def tile_variants(first_hi: int, width: int) -> list[tuple[str, int]]:
         """Fillings of one width-q tile with first R at or before first_hi
-        and anything between first and last R, as (word, last_r_pos)."""
+        and anything between first and last R, as sorted (word, last_r_pos)."""
         out = []
         for f in range(1, first_hi + 1):
             out.append(("L" * (f - 1) + "R" + "L" * (width - f), f))
             for l in range(f + 1, width + 1):
                 ends = _rl_words(l - f - 1, "L" * (f - 1) + "R", "R" + "L" * (width - l))
                 out.extend((word, l) for word in ends)
-        return out
+        return sorted(out)
 
-    # The full tiles, one at a time, as (prefix so far, last R of its last
-    # tile); the first tile, or the remainder if there is none, starts with R.
+    # The full tiles in order, as (prefix so far, last R of its last tile);
+    # the first tile, or the remainder if there is none, starts with R.
     prefixes = [("", 1)]
     for _ in range(tiles):
         prefixes = [(acc + word, last) for acc, prev_last in prefixes
                     for word, last in tile_variants(prev_last, q)]
-    free = list(_rl_words(rem))  # every remainder, which "" is when there is none
-    found: set[str] = set()
+    free = sorted(_rl_words(rem))  # every remainder, which "" is when there is none
+    out = []
     for acc, prev_last in prefixes:
         if prev_last > rem:  # even an all-L remainder stays within the run bound
-            found.update(map(acc.__add__, free))
+            out.extend(map(acc.__add__, free))
         else:
-            found.update(acc + word for word, _ in tile_variants(prev_last, rem))
-    return tuple(sorted(found))
+            out.extend(acc + word for word, _ in tile_variants(prev_last, rem))
+    return out
 
 
 def derive_later_blocks(q: int, first_block: str, max_len: int) -> list[str]:
@@ -180,13 +183,9 @@ def derive_later_blocks(q: int, first_block: str, max_len: int) -> list[str]:
 
 
 def _positive_compositions(total: int, parts: int):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _positive_compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """``total`` as ``parts`` positive summands, in lexicographic order (stars and bars)."""
+    cuts = itertools.combinations(range(1, total), parts - 1) if total > 0 else ()
+    return (tuple(b - a for a, b in zip((0, *c), (*c, total))) for c in cuts)
 
 
 def _candidates(p: int):
@@ -200,6 +199,7 @@ def _candidates(p: int):
     construction.
     """
     yield "R" + "L" * (p - 2) + "C", BlockForm(p - 2, ((1, ""),))
+    table = functools.cache(_blocks)  # for this enumeration only
     body_len = p - 1
     for q in range(1, p - 2):
         unit = q + 1
@@ -215,9 +215,7 @@ def _candidates(p: int):
                     continue
                 counts = (1,) + exponents
                 for lens in _positive_compositions(m_total, r):
-                    for blocks in itertools.product(
-                        *(_blocks_cached(m, q - 1) for m in lens)
-                    ):
+                    for blocks in itertools.product(*(table(m, q - 1) for m in lens)):
                         form = BlockForm(q, tuple(zip(counts, blocks)))
                         yield form._body() + "C", form
 

@@ -588,8 +588,9 @@ def locate(
                 matched = True
                 dist = mpf_abs(gap, prec, round_nearest)
                 if mpf_lt(dist, tol_mp):
-                    # a guard although the probe has cleared it: step p as itinerary reads
-                    # it, at the exact eps widened to a looser tol; steps 1..p-1 cannot differ
+                    # a guard that cannot fire: step p's point dist has prec bits and rounding
+                    # is monotone, so dist < tol_mp = round(tol) gives dist <= tol, read as C
+                    # at max(eps, tol); nor can steps 1..p-1 differ (see the docstring)
                     word = prefix + _word(points[-1:], max(eps, tol))
                     if word != s.symbols:
                         raise LocateError(f"{s}: residual converged but itinerary reads {word}")

@@ -2,10 +2,15 @@
 
 import functools
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import msskit
 from msskit import (
     AdmissibleSeq,
     NotAdmissibleError,
@@ -17,7 +22,7 @@ from msskit import (
     max_l_run,
     sort_parity_lex,
 )
-from msskit.generators import _rl_words
+from msskit.generators import _positive_compositions, _rl_words
 from msskit.structure import block_decompose, is_mss_structured
 
 from conftest import brute_blocks, brute_parity_lex_less
@@ -36,8 +41,9 @@ class TestEnumerateBlocks:
         assert set(enumerate_blocks(2, 1)) == {"RR", "RL"}
 
     def test_matches_filter_oracle(self):
+        # list equality: the tiling's own order is the sorted oracle's
         for m in range(0, 15):
-            for run in range(0, 7):
+            for run in range(0, max(m, 6) + 1):
                 assert enumerate_blocks(m, run) == brute_blocks(m, run), (m, run)
 
     def test_run_zero(self):
@@ -50,6 +56,51 @@ class TestEnumerateBlocks:
             enumerate_blocks(-1, 2)
         with pytest.raises(ValueError):
             enumerate_blocks(3, -1)
+
+
+class TestCompositions:
+    def test_match_a_product_filter(self):
+        for total in range(0, 11):
+            for parts in range(1, 6):
+                brute = [c for c in itertools.product(range(1, total + 1), repeat=parts)
+                         if sum(c) == total]
+                assert list(_positive_compositions(total, parts)) == brute, (total, parts)
+
+
+_HELD_AFTER_RETURN = """
+import gc, sys, tracemalloc
+from msskit import enumerate_mss_structured
+gc.collect()
+tracemalloc.start()
+enum = enumerate_mss_structured(18)
+gc.collect()
+held = tracemalloc.get_traced_memory()[0]
+tracemalloc.stop()
+rows = sys.getsizeof(enum.rows) + sum(map(sys.getsizeof, enum.rows))
+print(len(enum), held, rows, enumerate_mss_structured(18).rows == enum.rows)
+"""
+
+
+class TestEnumerationMemory:
+    def test_only_the_rows_outlive_the_enumeration(self):
+        # The block table belongs to one enumeration: once it returns,
+        # what it still holds is its rows.  A fresh interpreter has no
+        # table another call could have left, and gc.collect() empties
+        # its free lists, which hold no enumeration's data.
+        src = str(Path(msskit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _HELD_AFTER_RETURN],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        count, held, rows, same = proc.stdout.split()
+        assert count == "7280"
+        assert int(held) - int(rows) < 64 * 1024, (held, rows)
+        assert same == "True"  # a second call, with no table left, builds equal rows
 
 
 class TestDeriveLaterBlocks:
@@ -167,7 +218,6 @@ class TestEnumerators:
                     monkeypatch.setattr(module, name, counted(name, fn))
         parse = sequences.AdmissibleSeq.parse.__func__
         monkeypatch.setattr(sequences.AdmissibleSeq, "parse", classmethod(counted("parse", parse)))
-        generators._blocks_cached.cache_clear()
 
         words = enumerate_mss_structured(12).words()
         assert len(words) == 170
