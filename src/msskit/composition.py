@@ -6,7 +6,9 @@ outer letters; the letters are written verbatim when the inner sequence
 holds an even number of Rs and flipped (R <-> L) when odd.  The result
 has period ``len(inner) * len(outer)`` and is again shift-maximal.
 Non-primary sequences are exactly the composites, so factoring scans the
-proper divisors of the period for a repeating stem.
+proper divisors of the period for a repeating stem.  One private helper
+spells that layout and one the flip rule; composing builds with them and
+both factorers test a split by building it again.
 
 ``factor_once`` returns the factorization with the shortest inner
 sequence; the scan order makes the result deterministic.  Uniqueness
@@ -30,7 +32,7 @@ from typing import Optional
 from .errors import NotMssError, ShapeError
 from .sequences import AdmissibleSeq, SeqLike, _shift_maximal_word, as_sequence, is_shift_maximal
 from .sequences import _admitted
-from .structure import _decompose
+from .structure import _decompose, _run_end
 
 __all__ = [
     "Parity",
@@ -60,23 +62,31 @@ def r_parity(seq: SeqLike) -> Parity:
     return Parity.ODD if s.symbols.count("R") % 2 else Parity.EVEN
 
 
+def _layout(stem: str, letters: str) -> str:
+    """The composite word: ``stem`` before, between and after the letters, then C."""
+    return stem + stem.join(letters) + stem + "C"
+
+
+def _oriented(stem: str, letters: str) -> str:
+    """``letters`` flipped (R <-> L) when ``stem`` holds an odd number of Rs.
+
+    Flipping twice restores them, so the one rule maps outer letters into
+    a composite and a composite's letters back out."""
+    return letters.translate(_FLIP) if stem.count("R") % 2 else letters
+
+
 def compose(inner: SeqLike, outer: SeqLike) -> AdmissibleSeq:
     """Compose two admissible sequences; period multiplies.
 
-    The result is ``stem + stem.join(letters) + stem + "C"``, with stem
-    the inner body and letters the outer body, flipped (R <-> L) once
-    when the inner sequence holds an odd number of Rs.
+    The result is :func:`_layout` of the inner body around the outer
+    body's letters, :func:`_oriented` by the inner body.
 
     >>> compose("RC", "RC").symbols
     'RLRC'
     """
     a = as_sequence(inner)
     b = as_sequence(outer)
-    stem = a.body
-    letters = b.body
-    if r_parity(a) is Parity.ODD:
-        letters = letters.translate(_FLIP)
-    out = _admitted(stem + stem.join(letters) + stem + "C")  # R and L bodies, one C
+    out = _admitted(_layout(a.body, _oriented(a.body, b.body)))  # R and L bodies, one C
     assert out.period == a.period * b.period
     return out
 
@@ -85,21 +95,19 @@ def _split_at(word: str, h: int) -> Optional[tuple[str, str]]:
     """Try to read ``word`` as stem-and-letters with inner period h.
 
     The letters are the symbols at positions h-1, 2h-1, ... before the
-    final C; the stem is the first h-1 symbols, and the word must be the
-    stem repeated around every letter, as :func:`compose` builds it.
-    Returns (inner, outer) symbol strings when it is and both recovered
-    sequences are shift-maximal; ``compose(inner, outer)`` is then the
-    word, since flipping the letters twice restores them."""
+    final C; the stem is the first h-1 symbols, and the word must be
+    their :func:`_layout`, as :func:`compose` builds it.  Returns (inner,
+    outer) symbol strings when it is and both recovered sequences are
+    shift-maximal; ``compose(inner, outer)`` is then the word, since
+    :func:`_oriented` applied twice restores the letters."""
     stem = word[: h - 1]
     letters = word[h - 1 : -1 : h]
-    if stem + stem.join(letters) + stem + "C" != word:
+    if _layout(stem, letters) != word:
         return None
     inner = stem + "C"
     if not _shift_maximal_word(inner):
         return None
-    if inner.count("R") % 2 == 1:
-        letters = letters.translate(_FLIP)
-    outer = letters + "C"
+    outer = _oriented(stem, letters) + "C"
     if not _shift_maximal_word(outer):
         return None
     return inner, outer
@@ -230,40 +238,28 @@ def factor_interleaved_core(seq: SeqLike) -> tuple[AdmissibleSeq, AdmissibleSeq]
     Expected form: head ``R L^q``, then alternating groups of
     ``R L^(q-1) R`` and ``R L^q`` units, closed by ``R L^(q-1) C``; the
     first R-unit group must be the longest and the first L-unit group
-    nonempty.  Returns (core sequence, outer sequence).  Raises
-    :class:`ShapeError` on any mismatch, including an R-unit group longer
-    than the first, which would force an over-long L-run into the outer
-    factor.
+    nonempty.  The letters are the symbols at positions q, 2q+1, ...
+    before the final C, the head's last L first, and the word must be
+    their :func:`_layout` around the core.  Returns (core sequence, outer
+    sequence), the outer letters :func:`_oriented` back by the core.
+    Raises :class:`ShapeError` on any mismatch, including an R-unit group
+    longer than the first, which would force an over-long L-run into the
+    outer factor.
     """
     s = as_sequence(seq)
     word = s.symbols
     body = s.body
     if not body.startswith("R"):
         raise ShapeError(f"{s}: must start with R")
-    q = 0
-    while 1 + q < len(body) and body[1 + q] == "L":
-        q += 1
+    q = _run_end(body, 1) - 1
     if q < 1:
         raise ShapeError(f"{s}: needs a head run of at least one L")
     core = "R" + "L" * (q - 1)
-    if not word.endswith(core + "C"):
-        raise ShapeError(f"{s}: must end with {core}C")
+    letters = word[q : -1 : q + 1]  # nonempty: the head's last L is word[q]
+    if _layout(core, letters) != word:
+        raise ShapeError(f"{s}: not copies of {core} around single letters, closed by {core}C")
 
-    # Slice the body after the head into core-plus-letter units.
-    letters = []
-    i = q + 1
-    while i < len(body):
-        if body[i : i + q] != core:
-            raise ShapeError(f"{s}: core misaligned at offset {i}")
-        i += q
-        if i < len(body):
-            letters.append(body[i])
-            i += 1
-        # the final core reaches the end of the body exactly
-    if i != len(body):
-        raise ShapeError(f"{s}: trailing symbols do not fit the core grid")
-
-    groups = [(ch, len(list(run))) for ch, run in itertools.groupby(letters)]
+    groups = [(ch, len(list(run))) for ch, run in itertools.groupby(letters[1:])]
     if not groups or groups[0][0] != "R":
         raise ShapeError(f"{s}: first unit group must extend the core with R")
     r_groups = [n for ch, n in groups if ch == "R"]
@@ -277,7 +273,6 @@ def factor_interleaved_core(seq: SeqLike) -> tuple[AdmissibleSeq, AdmissibleSeq]
         )
 
     inner = _admitted(core + "C")
-    # The core holds exactly one R, so recovered letters always flip.
-    outer = _admitted(word[q : -1 : q + 1].translate(_FLIP) + "C")  # nonempty: body[q] is in the slice
+    outer = _admitted(_oriented(core, letters) + "C")
     assert compose(inner, outer).symbols == word
     return inner, outer

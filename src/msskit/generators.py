@@ -22,9 +22,10 @@ blocks it draws from lasts one enumeration: no cache outlives the call.
 ``enumerate_mss_bruteforce`` filters the full candidate space
 ``R {L,R}^(p-2) C`` with the direct shift-maximality test and serves as
 the oracle the structured path is validated against (practical up to
-p around 22).  Both sort their words of one period by a compact integer
-form of the sign sequence rather than by the pairwise comparator, and
-return them as a :class:`PeriodEnumeration` of plain words, wrapped as
+p around 22).  Both sort their words by the sign bytes of
+:func:`~msskit.sequences._signs`, the key ``order_report`` sorts by too,
+rather than by the pairwise comparator, and return them as a
+:class:`PeriodEnumeration` of plain words, wrapped as
 :class:`~msskit.sequences.AdmissibleSeq` only on iteration.
 
 ``derive_later_blocks`` produces, for a fixed first interior block, the
@@ -40,15 +41,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotAdmissibleError
-from .sequences import (
-    AdmissibleSeq,
-    _admitted,
-    _shift_maximal_word,
-    _sign_rank,
-    decode_signs,
-    max_l_run,
-    sign_sequence,
-)
+from .sequences import AdmissibleSeq, _admitted, _shift_maximal_word, _signs, max_l_run
 from .structure import BlockForm, _test_form
 
 __all__ = [
@@ -146,12 +139,14 @@ def _blocks(length: int, max_run: int) -> list[str]:
 def derive_later_blocks(q: int, first_block: str, max_len: int) -> list[str]:
     """Blocks admissible after ``first_block`` in a sequence with head run q.
 
-    The comparison template is the sign sequence of ``first_block`` plus
-    one head group.  A later block must branch upward off that template:
-    at some -1 entry preceded by at most q-1 consecutive +1s, replace the
-    -1 by +1 and continue with any letters.  Results are capped at
-    ``max_len`` symbols and filtered to respect the q-1 run bound, which
-    also covers the splice at the branch point.
+    The comparison template is ``first_block`` plus one head group.  A
+    later block must branch upward off its sign sequence: at some -1 entry
+    preceded by at most q-1 consecutive +1s, flip the template's letter
+    there, which turns the entry into +1, and continue with any letters.
+    No branch prefix is a prefix of another, so every block comes out
+    once.  Results are capped at ``max_len`` symbols and filtered to
+    respect the q-1 run bound, which also covers the splice at the branch
+    point.
 
     >>> derive_later_blocks(2, "R", 2)
     ['RL']
@@ -162,23 +157,15 @@ def derive_later_blocks(q: int, first_block: str, max_len: int) -> list[str]:
         raise NotAdmissibleError(
             f"{first_block!r} is not an interior block for head run {q}"
         )
-    template = sign_sequence(first_block + "R" + "L" * q)
-    out: set[str] = set()
-    for j in range(2, len(template) + 1):  # 1-based branch position
-        if template[j - 1] != -1:
-            continue
-        ones = 0
-        t = j - 2
-        while t >= 0 and template[t] == 1:
-            ones += 1
-            t -= 1
-        if ones > q - 1:
-            continue  # branching here would splice an over-long L-run
-        prefix = decode_signs(template[: j - 1] + (1,))
-        if len(prefix) > max_len:
-            continue
-        for tail_len in range(0, max_len - len(prefix) + 1):
-            out.update(w for w in _rl_words(tail_len, prefix) if max_l_run(w) <= q - 1)
+    template = first_block + "R" + "L" * q
+    sig = _signs(template)  # 0 for a -1 entry, 2 for a +1 entry
+    out = []
+    for i in range(1, min(len(template), max_len)):  # 0-based branch position
+        if sig[i] or i - 1 - sig.rfind(0, 0, i) > q - 1:
+            continue  # a +1 entry, or branching here would splice an over-long L-run
+        prefix = template[:i] + ("L" if template[i] == "R" else "R")
+        for tail_len in range(max_len - i):
+            out.extend(w for w in _rl_words(tail_len, prefix) if max_l_run(w) <= q - 1)
     return sorted(out)
 
 
@@ -236,7 +223,7 @@ def enumerate_mss_structured(p: int) -> PeriodEnumeration:
         for word, form in _candidates(p)
         if form.group_count == 1 or _test_form(form, word).is_mss
     ]
-    accepted.sort(key=_sign_rank)
+    accepted.sort(key=_signs)
     return PeriodEnumeration(p, tuple(accepted))
 
 
@@ -263,5 +250,5 @@ def enumerate_mss_bruteforce(p: int, workers: int = 1) -> PeriodEnumeration:
         words = [w for chunk in chunks for w in chunk]
     else:
         words = _bruteforce_words(p)
-    words.sort(key=_sign_rank)
+    words.sort(key=_signs)
     return PeriodEnumeration(p, tuple(words))

@@ -447,26 +447,6 @@ def max_l_run(word: str) -> int:
     return max(map(len, _L_RUN_RE.findall(word)), default=0)
 
 
-def _sign_rank(word: str) -> int:
-    """Sort key for admissible words of one period, in the order of
-    :func:`sign_sequence` (so of :func:`parity_lex_cmp`).
-
-    Entry i of the sign sequence is +1 exactly when ``word[: i + 1]``
-    holds an odd number of Rs, so reading R as 1 and L as 0, the entries
-    are the prefix parities of those bits: the inverse Gray code of the
-    body read as a binary number.  The final C is dropped, since every
-    word of the period ends with it.  A small int keeps the sort key
-    compact where a sign tuple would hold one reference per symbol.
-    """
-    n = int(word.translate(_R_BITS), 2)
-    size = len(word)
-    step = 1
-    while step < size:
-        n ^= n >> step
-        step <<= 1
-    return n
-
-
 def sort_parity_lex(items: Iterable[SeqLike]) -> list:
     """Sort words or sequences into increasing parity-lexicographic order.
 
@@ -474,7 +454,8 @@ def sort_parity_lex(items: Iterable[SeqLike]) -> list:
     :func:`parity_lex_cmp` reads a word and its own prefix as EQUAL, and
     the stable sort keeps such words in input order; a key sort by
     :func:`sign_sequence` would put the prefix first.  Where every item
-    is an admissible sequence no two are ever equal, and callers that
-    hold only those sort with ``key=sign_sequence`` instead.
+    is an admissible sequence no two are ever equal: the package's own
+    sorts of admissible words use the bytes key :func:`_signs`, and
+    callers that hold sequences may sort with ``key=sign_sequence``.
     """
     return sorted(items, key=functools.cmp_to_key(parity_lex_cmp))

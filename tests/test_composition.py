@@ -1,10 +1,15 @@
 """Composition law, factorization, primality, and the composite shape tests."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import msskit
 from msskit import (
     NotMssError,
     Parity,
@@ -22,7 +27,7 @@ from msskit import (
     r_parity,
 )
 
-from conftest import brute_shift_maximal
+from conftest import all_candidates, brute_shift_maximal
 
 # The worked large composite: RL^4 (RL^3 R)^2 (RL^4)^3 RL^3 R RL^3 C.
 BIG = expand_exponents("RL^4RL^3RRL^3RRL^4RL^4RL^4RL^3RRL^3C")
@@ -285,6 +290,62 @@ class TestInterleavedCore:
                 assert not is_primary(seq)
                 assert compose(inner, outer).symbols == seq.symbols
         assert hits >= 1
+
+    def test_core_grid_at_head_run_one(self):
+        # With q = 1 the core is R alone, so a word closed by a letter R
+        # rather than by a core still ends in "RC"; the grid must refuse it.
+        with pytest.raises(ShapeError):
+            factor_interleaved_core("RLRRRLRRC")
+
+    def test_every_r_leading_word_raises_or_recomposes(self):
+        factored = 0
+        for p in range(2, 15):
+            for word in all_candidates(p):
+                try:
+                    inner, outer = factor_interleaved_core(word)
+                except ShapeError:
+                    continue
+                factored += 1
+                assert compose(inner, outer).symbols == word
+        assert factored >= 1
+
+    def test_results_hold_without_asserts(self):
+        # Under -O the asserts in the package are stripped, so the same
+        # checks run in a fresh interpreter and report what they find
+        # instead of asserting it.
+        src = str(Path(msskit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _CHECKS_UNDER_O],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "2047", "11", "0", "0"]
+
+
+_CHECKS_UNDER_O = """
+import itertools
+from msskit import ShapeError, block_decompose, compose, factor_interleaved_core
+from msskit.errors import RunLengthError
+
+words = ["R" + "".join(t) + "C" for p in range(2, 13) for t in itertools.product("RL", repeat=p - 2)]
+factored = bad_factor = bad_form = 0
+for word in words:
+    try:
+        inner, outer = factor_interleaved_core(word)
+        factored += 1
+        bad_factor += compose(inner, outer).symbols != word
+    except ShapeError:
+        pass
+    try:
+        bad_form += block_decompose(word).reassemble().symbols != word
+    except RunLengthError:
+        pass
+print(__debug__, len(words), factored, bad_factor, bad_form)
+"""
 
 
 # The letter loops that the join-built composition replaced, kept here as

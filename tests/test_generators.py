@@ -14,12 +14,14 @@ import msskit
 from msskit import (
     AdmissibleSeq,
     NotAdmissibleError,
+    decode_signs,
     derive_later_blocks,
     enumerate_blocks,
     enumerate_mss_bruteforce,
     enumerate_mss_structured,
     is_shift_maximal,
     max_l_run,
+    sign_sequence,
     sort_parity_lex,
 )
 from msskit.generators import _positive_compositions, _rl_words
@@ -167,6 +169,39 @@ class TestDeriveLaterBlocks:
                         missing.append((word, form.q, first, block))
         assert missing == []
 
+    def test_equals_sign_tuple_derivation(self):
+        # The sign-tuple algorithm the bytes scan replaced: a branch point
+        # is a -1 entry after at most q-1 consecutive +1s, its prefix is
+        # decoded from the template's entries with that one set to +1, and
+        # every extension keeping the run bound is collected in a set.
+        def tuple_derivation(q, first_block, max_len):
+            template = sign_sequence(first_block + "R" + "L" * q)
+            out = set()
+            for j in range(2, len(template) + 1):
+                if template[j - 1] != -1:
+                    continue
+                ones = 0
+                t = j - 2
+                while t >= 0 and template[t] == 1:
+                    ones += 1
+                    t -= 1
+                if ones > q - 1:
+                    continue
+                prefix = decode_signs(template[: j - 1] + (1,))
+                for tail_len in range(0, max_len - len(prefix) + 1):
+                    out.update(w for w in _rl_words(tail_len, prefix) if max_l_run(w) <= q - 1)
+            return sorted(out)
+
+        cases = 0
+        for q in range(1, 5):
+            for m in range(1, 7):
+                for first in enumerate_blocks(m, q - 1):
+                    for max_len in range(10):
+                        got = derive_later_blocks(q, first, max_len)
+                        assert got == tuple_derivation(q, first, max_len), (q, first, max_len)
+                        cases += 1
+        assert cases == 1480
+
 
 class TestEnumerators:
     @pytest.mark.parametrize("p,expect", [(2, ["RC"]), (3, ["RLC"]), (4, ["RLRC", "RLLC"])])
@@ -198,7 +233,8 @@ class TestEnumerators:
         # text.  The comparator runs only in the core's cross-check, once
         # per critical shift settled by a block (46 at p=12), so a
         # comparator sort (at least 169 calls for 170 words) still fails
-        # here; the core encodes each word it tests once (47 at p=12).
+        # here; the core encodes each word it tests once (47 at p=12), and
+        # the sort takes one sign key per accepted word (170).
         import msskit
         from msskit import generators, sequences, structure
 
@@ -221,7 +257,7 @@ class TestEnumerators:
 
         words = enumerate_mss_structured(12).words()
         assert len(words) == 170
-        assert calls == Counter(parity_lex_cmp=46, _signs=47)
+        assert calls == Counter(parity_lex_cmp=46, _signs=47 + 170)
         calls.clear()
         # the counters do count when the public routes run; words[0] has
         # one critical shift, settled by a block

@@ -341,14 +341,14 @@ class TestHelpers:
         random.Random(7).shuffle(words)
         assert sorted(words, key=sign_sequence) == sorted(words, key=by_cmp)
 
-    def test_sign_rank_orders_one_period_as_sign_sequence(self):
-        from msskit.sequences import _sign_rank
+    def test_signs_orders_one_period_as_sign_sequence(self):
+        from msskit.sequences import _signs
 
         for p in range(2, 17):
             words = list(all_candidates(p))
-            ranks = [_sign_rank(w) for w in words]
-            assert len(set(ranks)) == len(words)
-            assert sorted(words, key=_sign_rank) == sorted(words, key=sign_sequence), p
+            keys = [_signs(w) for w in words]
+            assert len(set(keys)) == len(words)
+            assert sorted(words, key=_signs) == sorted(words, key=sign_sequence), p
 
     def test_admissible_seq_str(self):
         s = AdmissibleSeq("RLLRC")
