@@ -31,7 +31,9 @@ rather than by the pairwise comparator, and return them as a
 ``derive_later_blocks`` produces, for a fixed first interior block, the
 blocks that may legally follow it in longer sequences: exactly the words
 whose sign sequence first departs upward from the comparison template
-built from the first block and one head group.
+built from the first block and one head group.  Like the tiling, it
+builds only the words it keeps: each tail after a branch is a short run
+of Ls and an interior block from the same table.
 """
 
 from __future__ import annotations
@@ -142,11 +144,13 @@ def derive_later_blocks(q: int, first_block: str, max_len: int) -> list[str]:
     The comparison template is ``first_block`` plus one head group.  A
     later block must branch upward off its sign sequence: at some -1 entry
     preceded by at most q-1 consecutive +1s, flip the template's letter
-    there, which turns the entry into +1, and continue with any letters.
-    No branch prefix is a prefix of another, so every block comes out
-    once.  Results are capped at ``max_len`` symbols and filtered to
-    respect the q-1 run bound, which also covers the splice at the branch
-    point.
+    there, which turns the entry into +1, and continue with any letters
+    that keep every L-run at or below q-1, the splice at the branch point
+    included.  No branch prefix is a prefix of another, so every block
+    comes out once.  Only kept blocks are built: after a prefix ending in
+    t Ls, a tail is a leading run of at most q-1-t Ls and then an interior
+    block (see :func:`enumerate_blocks`), and a prefix whose own last
+    L-run exceeds q-1 has none.  Results are capped at ``max_len`` symbols.
 
     >>> derive_later_blocks(2, "R", 2)
     ['RL']
@@ -159,13 +163,22 @@ def derive_later_blocks(q: int, first_block: str, max_len: int) -> list[str]:
         )
     template = first_block + "R" + "L" * q
     sig = _signs(template)  # 0 for a -1 entry, 2 for a +1 entry
+    table = functools.cache(_blocks)  # for this call only
     out = []
     for i in range(1, min(len(template), max_len)):  # 0-based branch position
         if sig[i] or i - 1 - sig.rfind(0, 0, i) > q - 1:
             continue  # a +1 entry, or branching here would splice an over-long L-run
         prefix = template[:i] + ("L" if template[i] == "R" else "R")
+        # Ls a tail may lead with; only the prefix's last run can exceed q-1, and then
+        # room < 0 leaves no tail
+        room = q - 1 - (len(prefix) - len(prefix.rstrip("L")))
         for tail_len in range(max_len - i):
-            out.extend(w for w in _rl_words(tail_len, prefix) if max_l_run(w) <= q - 1)
+            for lead in range(min(room, tail_len) + 1):
+                head = prefix + "L" * lead
+                if lead == tail_len:
+                    out.append(head)
+                else:
+                    out.extend(map(head.__add__, table(tail_len - lead, q - 1)))
     return sorted(out)
 
 

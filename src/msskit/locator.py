@@ -60,6 +60,13 @@ bracket, at every precision and period; after a failed attempt it waits
 as many halvings as the failing bound's ratio to its room asks for.
 Located parameters are reported as mpmath floats; cast with float() for
 display.
+
+Checks run at the boundary.  ``locate`` checks its arguments, proves
+its word an MSS word and prepares a search, which holds everything that
+depends only on the period and the arguments; the bisection runs on the
+proven word and that search.  ``order_report`` checks tol before it
+enumerates, prepares one search per period and proves every word as
+``locate`` does.  A search lives for one call in one thread.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ import math
 import threading
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import mpmath
 from mpmath import mpf
@@ -137,6 +144,13 @@ def _check_type(name: str, x) -> None:
     """Raise a TypeError unless ``x`` is an int, float or mpf, whose exact value is known."""
     if not isinstance(x, (int, float)) and not hasattr(x, "_mpf_"):
         raise TypeError(f"{name} must be an int, float or mpf, got {type(x).__name__}")
+
+
+def _check_tol(tol) -> None:
+    """Raise unless ``tol`` is a finite int, float or mpf > 0."""
+    _check_type("tol", tol)
+    if not (_finite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _check_eps(eps) -> None:
@@ -509,6 +523,13 @@ def locate(
     positive, ``eps`` finite and >= 0, and an explicit ``dps`` or
     ``max_iter`` at least 1; anything else raises ``ValueError``.
 
+    This is the public boundary: it checks the arguments, parses ``seq``
+    and proves it an MSS word (:class:`NotMssError` otherwise), then
+    prepares one search for its period, which holds what depends only on
+    (p, tol, eps, max_iter, dps): dps and ``max_iter``, the calling
+    thread's context, ``eps`` and ``tol`` as raw mpf and fixed-point
+    values and the closing threshold ``max(eps, tol)``.
+
     Each bisection step is decided by the first of two stages that can
     prove its verdict: a fixed-point integer probe at the midpoint mpf
     arithmetic rounds, whose error is at most (4^i - 1)/3 units
@@ -531,38 +552,76 @@ def locate(
     as R or L against ``eps`` rounded to prec bits lies farther from 1/2
     than the exact ``eps`` too.
     """
-    _check_type("tol", tol)
-    if not (_finite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _check_tol(tol)
     _check_eps(eps)
     if dps is not None and dps < 1:
         raise ValueError(f"dps must be >= 1, got {dps!r}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    word = _proven(seq)
+    if word == "C":
+        return LocatedSequence("C", mpf(2), 0.0, 0)
+    return _bisect(word, _prepare(len(word), tol, eps, max_iter, dps))
+
+
+def _proven(seq: Union[SeqLike, str]) -> str:
+    """The word of ``seq``, parsed once and proved R-leading and shift-maximal.
+
+    The period-1 word "C", in run notation too, is returned as it is;
+    anything else that is not an MSS word raises :class:`NotMssError`.
+    """
     if isinstance(seq, str):
         word = expand_exponents(seq)  # so that "C^1" is the period-1 word too
         if word == "C":
-            return LocatedSequence("C", mpf(2), 0.0, 0)
+            return word
         s = _checked(word)
     else:
         s = as_sequence(seq)
     if not s.symbols.startswith("R") or not is_shift_maximal(s):
         raise NotMssError(f"{s} is not an MSS-sequence")
-    p = s.period
+    return s.symbols
+
+
+class _Search(NamedTuple):
+    """What a bisection needs besides its word: everything that depends
+    only on (period, tol, eps, max_iter, dps).  It holds the calling
+    thread's context, so it serves one call in one thread."""
+
+    max_iter: int
+    ctx: mpmath.ctx_mp.MPContext  # the thread's context at the working dps
+    eps_mp: tuple  # eps and tol rounded to the working precision, as raw mpf values
+    tol_mp: tuple
+    eps_fix: int  # the same, floored in units of 2^-bits, bits = prec - _FIXED_GUARD_BITS
+    tol_fix: int
+    close: mpf  # max(eps, tol) at its exact value, against which step p is reread
+
+
+def _prepare(p: int, tol, eps, max_iter: Optional[int] = None,
+             dps: Optional[int] = None) -> _Search:
+    """The search for words of period p, with :func:`locate`'s defaults
+    for a ``dps`` or ``max_iter`` of None, from arguments already checked."""
     digits, halvings = _tol_scales(tol)
     if dps is None:
         dps = max(_MIN_DPS, math.ceil(p * math.log10(4)) + digits + 8)
     if max_iter is None:
         max_iter = max(_MIN_ITER, 2 * p + halvings + 60)
-    prefix = s.body
-    signs = sign_sequence(prefix + "R")
     ctx = _CONTEXTS.get(dps)
-    prec = ctx.prec
     eps_mp = ctx.mpf(eps)._mpf_
     tol_mp = ctx.mpf(tol)._mpf_
+    bits = ctx.prec - _FIXED_GUARD_BITS
+    close = ctx.make_mpf(mpf.mpf_convert_rhs(max(eps, tol)))
+    return _Search(max_iter, ctx, eps_mp, tol_mp, to_fixed(eps_mp, bits), to_fixed(tol_mp, bits),
+                   close)
+
+
+def _bisect(word: str, search: _Search) -> LocatedSequence:
+    """:func:`locate`'s bisection on a proven MSS ``word`` of period >= 2
+    and the search prepared for its period."""
+    max_iter, ctx, eps_mp, tol_mp, eps_fix, tol_fix, close = search
+    prefix = word[:-1]
+    signs = sign_sequence(prefix + "R")
+    prec = ctx.prec
     bits = prec - _FIXED_GUARD_BITS
-    eps_fix = to_fixed(eps_mp, bits)
-    tol_fix = to_fixed(tol_mp, bits)
     g = prec - 2  # every mpf in [2, 4) is a multiple of 2^-g, and 2^-bits = 4 * 2^-g
     lo, hi = 3 << g, 4 << g  # the bracket, in units of 2^-g
     cert = None  # the root enclosure of _certify, once one is granted
@@ -590,12 +649,12 @@ def locate(
                 if mpf_lt(dist, tol_mp):
                     # a guard that cannot fire: step p's point dist has prec bits and rounding
                     # is monotone, so dist < tol_mp = round(tol) gives dist <= tol, read as C
-                    # at max(eps, tol); nor can steps 1..p-1 differ (see the docstring)
-                    word = prefix + _word(points[-1:], max(eps, tol))
-                    if word != s.symbols:
-                        raise LocateError(f"{s}: residual converged but itinerary reads {word}")
+                    # at max(eps, tol); nor can steps 1..p-1 differ (see locate's docstring)
+                    read = prefix + _word(points[-1:], close)
+                    if read != word:
+                        raise LocateError(f"{word}: residual converged but itinerary reads {read}")
                     residual = to_float(dist, rnd=round_nearest)
-                    return LocatedSequence(s.symbols, ctx.make_mpf(r), residual, iteration)
+                    return LocatedSequence(word, ctx.make_mpf(r), residual, iteration)
                 # steer by the symbol the orbit would print at step p (gap != 0)
                 verdict = -signs[-1] if gap[0] else signs[-1]
         if verdict == _BELOW:
@@ -609,26 +668,35 @@ def locate(
             found, wait = _certify(lo >> 2, -(-hi >> 2), prefix, signs, bits, eps_fix, tol_fix)
             cert = found or cert  # a certificate stays valid on every later bracket
             retry = iteration + wait
-    raise LocateError(f"{s}: no convergence within {max_iter} bisection steps")
+    raise LocateError(f"{word}: no convergence within {max_iter} bisection steps")
 
 
 def order_report(pmax: int, tol: float = _DEFAULT_TOL) -> list[LocatedSequence]:
-    """Locate every MSS-sequence of period 2..pmax, in parity-lex order."""
+    """Locate every MSS-sequence of period 2..pmax, in parity-lex order.
+
+    ``tol`` is checked as :func:`locate` checks it, before anything is
+    enumerated.  Each row is ``locate(word, tol=tol)``: every word is
+    proved as :func:`locate` proves it and runs the same bisection, on a
+    search prepared once for its period rather than once per word.
+    """
     from .generators import enumerate_mss_structured
 
     if pmax < 2:
         raise ValueError("pmax must be >= 2")
+    _check_tol(tol)
     seqs = []
     for p in range(2, pmax + 1):
         seqs.extend(enumerate_mss_structured(p).rows)
     seqs.sort(key=_signs)  # sign-sequence order; no two admissible sequences compare equal
-    return [locate(w, tol=tol) for w in seqs]
+    searches = {p: _prepare(p, tol, _DEFAULT_EPS) for p in range(2, pmax + 1)}
+    return [_bisect(word, searches[len(word)]) for word in map(_proven, seqs)]
 
 
 def verify_order(pmax: int, tol: float = _DEFAULT_TOL) -> bool:
     """Check that parameter order equals parity-lex order up to period pmax.
 
-    Locates every sequence and verifies the parameters increase strictly
+    Locates every sequence with :func:`order_report`, which checks ``tol``
+    before it enumerates, and verifies the parameters increase strictly
     along the parity-lex sort.  Sized for pmax <= 12 (379 sequences);
     larger values work but scale with the sequence count.
     """

@@ -25,6 +25,7 @@ from msskit import (
     sort_parity_lex,
 )
 from msskit.generators import _positive_compositions, _rl_words
+from msskit.sequences import _signs
 from msskit.structure import block_decompose, is_mss_structured
 
 from conftest import brute_blocks, brute_parity_lex_less
@@ -201,6 +202,38 @@ class TestDeriveLaterBlocks:
                         assert got == tuple_derivation(q, first, max_len), (q, first, max_len)
                         cases += 1
         assert cases == 1480
+
+    def test_equals_generate_and_filter(self):
+        # The tails are built to the run bound rather than spelled in full
+        # and filtered: the same branch points, every R/L tail, then a drop
+        # of the words holding q Ls in a row.  A result at max_len is the
+        # one at 12 cut to max_len symbols, so the oracle runs once per S_1.
+        def generate_and_filter(q, first_block, max_len):
+            template = first_block + "R" + "L" * q
+            sig = _signs(template)
+            out = []
+            for i in range(1, min(len(template), max_len)):
+                if sig[i] or i - 1 - sig.rfind(0, 0, i) > q - 1:
+                    continue
+                prefix = template[:i] + ("L" if template[i] == "R" else "R")
+                for tail_len in range(max_len - i):
+                    out.extend(w for w in _rl_words(tail_len, prefix) if "L" * q not in w)
+            return sorted(out)
+
+        cases = 0
+        for q in range(1, 5):
+            for m in range(1, 7):
+                for first in enumerate_blocks(m, q - 1):
+                    expected = generate_and_filter(q, first, 12)
+                    for max_len in range(13):
+                        got = derive_later_blocks(q, first, max_len)
+                        assert got == [w for w in expected if len(w) <= max_len], (q, first)
+                        cases += 1
+        assert cases == 1924
+
+    def test_long_tails_count(self):
+        assert len(derive_later_blocks(1, "R", 20)) == 18
+        assert len(derive_later_blocks(2, "R", 20)) == 28652
 
 
 class TestEnumerators:

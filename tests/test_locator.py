@@ -283,6 +283,10 @@ def _as_tuple(found):
     return found.sequence, found.r_star, found.residual, found.iterations
 
 
+def _as_reprs(found):
+    return found.sequence, repr(found.r_star), repr(found.residual), found.iterations
+
+
 class TestMatchesMpfBisection:
     """Every search takes the all-mpmath bisection's steps and returns its result."""
 
@@ -427,6 +431,56 @@ class TestOrder:
         assert all(g > 0 for g in gaps)
         assert min(gaps) > 10 * 1e-13
         assert all(r.residual < 1e-13 for r in rows)
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-20, mpf("1e-15")], ids=["1e-13", "1e-20", "mpf"])
+    def test_rows_are_single_locates(self, tol):
+        # order_report prepares one search per period, locate one per call:
+        # the rows are the same to the repr
+        words = sorted(period_words(12), key=sign_sequence)
+        expected = [_as_reprs(locate(word, tol=tol)) for word in words]
+        assert [_as_reprs(row) for row in order_report(12, tol=tol)] == expected
+
+    def test_one_search_per_period_and_a_proof_per_word(self, monkeypatch):
+        from msskit import sequences
+
+        counts = Counter()
+        for module, name in ((locator, "_prepare"), (sequences, "_shift_maximal_word")):
+            def counted(*args, _name=name, _inner=getattr(module, name)):
+                counts[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        assert len(order_report(12)) == 379
+        assert counts == {"_prepare": 11, "_shift_maximal_word": 379}
+
+    def test_proves_every_word(self, monkeypatch):
+        from msskit import generators
+
+        enumerate_period = generators.enumerate_mss_structured
+
+        def with_a_stranger(p):
+            found = enumerate_period(p)
+            return type(found)(p, found.rows + ("RLRLC",)) if p == 5 else found
+
+        monkeypatch.setattr(generators, "enumerate_mss_structured", with_a_stranger)
+        with pytest.raises(NotMssError, match="^RLRLC is not an MSS-sequence$"):
+            order_report(6)
+
+    @pytest.mark.parametrize("tol", ["x", None, Fraction(1, 10**13), 0, -1.0, math.nan,
+                                     math.inf, mpf("-inf")])
+    def test_rejects_a_bad_tol_before_enumerating(self, monkeypatch, tol):
+        from msskit import generators
+
+        def refuse(p):
+            raise AssertionError("enumerated before tol was checked")
+
+        monkeypatch.setattr(generators, "enumerate_mss_structured", refuse)
+        with pytest.raises((TypeError, ValueError)) as expected:
+            locate("RLC", tol=tol)
+        message = f"^{re.escape(str(expected.value))}$"
+        for check in (order_report, verify_order):
+            with pytest.raises(expected.type, match=message):
+                check(16, tol=tol)
 
 
 class TestArguments:
