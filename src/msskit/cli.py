@@ -15,9 +15,7 @@ One executable, ``msskit``, with verbs::
 Exit codes: 0 success (a negative check verdict is still a success),
 1 domain error (bad sequence, non-MSS input where one is required, failed
 verification), 2 usage error.  Output is deterministic: identical argv
-yields byte-identical output.  ``MSSKIT_THREADS`` caps enumeration
-workers (0 = one per CPU; unset = sequential); any value other than an
-integer >= 0 is a domain error for every verb.
+yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 
@@ -43,19 +40,6 @@ from .sequences import compress_exponents, parse_sequence
 from .structure import block_decompose, is_mss_structured
 
 __all__ = ["main"]
-
-
-def _workers() -> int:
-    raw = os.environ.get("MSSKIT_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = -1  # reported below, with the negative counts
-    if count < 0:
-        raise ValueError(f"MSSKIT_THREADS must be an integer >= 0, got {raw!r}")
-    return count or os.cpu_count() or 1
 
 
 def _str2bool(text: str) -> bool:
@@ -93,7 +77,7 @@ def _cmd_enumerate(args) -> int:
     if args.method == "structured":
         enum = enumerate_mss_structured(args.period)
     else:
-        enum = enumerate_mss_bruteforce(args.period, workers=args.workers)
+        enum = enumerate_mss_bruteforce(args.period)
     render = _renderer(args.expand)
     if args.format == "text":
         for index, s in enumerate(enum):
@@ -228,7 +212,7 @@ def _cmd_verify_order(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = run_selftest(pmax=args.pmax, suites=args.suite or None, workers=args.workers)
+    results = run_selftest(pmax=args.pmax, suites=args.suite or None)
     failed = 0
     for res in results:
         mark = "PASS" if res.ok else "FAIL"
@@ -308,7 +292,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.workers = _workers()
         return args.func(args)
     except UsageError as err:
         parser.error(str(err))  # exits 2

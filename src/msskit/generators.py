@@ -240,28 +240,11 @@ def enumerate_mss_structured(p: int) -> PeriodEnumeration:
     return PeriodEnumeration(p, tuple(accepted))
 
 
-def _bruteforce_words(p: int, prefix: str = "") -> list[str]:
-    """Shift-maximal words among R + prefix + {L,R}^k + C."""
-    return list(filter(_shift_maximal_word, _rl_words(p - 2 - len(prefix), "R" + prefix, "C")))
-
-
-def enumerate_mss_bruteforce(p: int, workers: int = 1) -> PeriodEnumeration:
-    """Oracle enumeration: filter every candidate word of period p.
-
-    ``workers`` > 1 splits the candidate space by a fixed two-symbol
-    prefix and merges deterministically; output is identical to the
-    sequential run.
-    """
+def enumerate_mss_bruteforce(p: int) -> PeriodEnumeration:
+    """Oracle enumeration: filter every candidate word of period p,
+    sequentially, with the direct shift-maximality test."""
     if p < 2:
         raise ValueError("period must be >= 2")
-    if workers > 1 and p >= 8:
-        jobs = [(p, pre) for pre in _rl_words(2)]
-        import multiprocessing
-
-        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
-            chunks = pool.starmap(_bruteforce_words, jobs)
-        words = [w for chunk in chunks for w in chunk]
-    else:
-        words = _bruteforce_words(p)
+    words = list(filter(_shift_maximal_word, _rl_words(p - 2, "R", "C")))
     words.sort(key=_signs)
     return PeriodEnumeration(p, tuple(words))

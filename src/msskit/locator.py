@@ -400,7 +400,8 @@ def _certify(lo_fix: int, hi_fix: int, prefix: str, signs: tuple, bits: int, eps
     below a, verdict at or above b), or None when a bound fails.
     ``halvings`` is how many bracket halvings to wait before the next
     attempt can do better: the failing bound's ratio to its room, or inf
-    once t is as close to the root as E_p lets the gap tell.
+    once t is as close to the root as E_p lets the gap tell, or once ``w``
+    passes the unit, where no room can hold it and the probes decide.
     """
     c = (lo_fix + hi_fix) >> 1
     h = hi_fix - c
@@ -421,6 +422,8 @@ def _certify(lo_fix: int, hi_fix: int, prefix: str, signs: tuple, bits: int, eps
         dx = (g << bits) + cu * dx >> shift
         # |r x_r (1 - x_r) - c X (1 - X)| <= h (X (1 - X) + q) + c q, plus the floor of X
         w = (h * (g + q) + c * q >> shift) + 2
+        if w > one:  # no later step's room can hold w, which now roughly squares per step
+            return None, math.inf
         e = 4 * e + 1
         x = c * g >> shift
         if i < len(prefix):

@@ -6,10 +6,10 @@ tests, structured enumeration against brute force, counting formulas
 against enumeration, and composition against factoring round-trips.
 
 One :func:`run_selftest` call enumerates each period once by the
-structured generator and once by brute force, and its suites share those
-word lists.  The oracle reads route a, the direct symbol-level test, as
-membership in the brute-force enumeration, whose filter applies that
-test's kernel to every candidate.  The sign-level and structured routes
+structured generator and once by the sequential brute force, and its
+suites share those word lists.  The oracle reads route a, the direct
+symbol-level test, as membership in the brute-force enumeration, whose
+filter applies that test's kernel to every candidate.  The sign-level and structured routes
 still run on every candidate, which is built admissible and R-leading,
 through the private cores behind their parse-once public entries: the
 bit-sliced sign-level kernel on fixed batches of ``_ORACLE_BATCH``
@@ -64,9 +64,8 @@ class _Run:
     stay for the whole call; a period's brute-force words are dropped once
     every chosen suite that reads them has read them."""
 
-    def __init__(self, pmax: int, workers: int, chosen: list[str]):
+    def __init__(self, pmax: int, chosen: list[str]):
         self.pmax = pmax
-        self.workers = workers
         self._structured: dict[int, PeriodEnumeration] = {}
         self._bruteforce: dict[int, tuple[str, ...]] = {}
         self._reads: dict[int, int] = {}
@@ -81,7 +80,7 @@ class _Run:
     def bruteforce(self, p: int) -> tuple[str, ...]:
         words = self._bruteforce.pop(p, None)
         if words is None:
-            words = enumerate_mss_bruteforce(p, workers=self.workers).rows
+            words = enumerate_mss_bruteforce(p).rows
         self._reads[p] = self._reads.get(p, 0) + 1
         if self._reads[p] < self._readers:
             self._bruteforce[p] = words
@@ -210,7 +209,7 @@ SUITES = {
 }
 
 
-def run_selftest(pmax: int = 14, suites=None, workers: int = 1) -> list[CheckResult]:
+def run_selftest(pmax: int = 14, suites=None) -> list[CheckResult]:
     """Run the chosen suites in order: ``suites`` is one name, a list of
     names, or None for all of :data:`SUITES`."""
     if pmax < 2:
@@ -221,7 +220,7 @@ def run_selftest(pmax: int = 14, suites=None, workers: int = 1) -> list[CheckRes
     for name in chosen:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    run = _Run(pmax, workers, chosen)
+    run = _Run(pmax, chosen)
     results = []
     for name in chosen:
         results.extend(SUITES[name](run))

@@ -315,11 +315,6 @@ class TestEnumerators:
             assert s.symbols.startswith("R" + "L" * q)
             assert max_l_run(s.body) <= q
 
-    def test_workers_do_not_change_output(self):
-        seq = enumerate_mss_bruteforce(10, workers=1).words()
-        par = enumerate_mss_bruteforce(10, workers=2).words()
-        assert seq == par
-
     def test_invalid_period(self):
         with pytest.raises(ValueError):
             enumerate_mss_structured(1)

@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import threading
+import time
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -23,6 +24,7 @@ from msskit import (
     LocateError,
     MapParam,
     NotMssError,
+    compose,
     enumerate_mss_structured,
     itinerary,
     locate,
@@ -86,6 +88,14 @@ def default_dps(p):
 
 def extremal(p):
     return "R" + "L" * (p - 2) + "C"
+
+
+def composite_power(word, k):
+    """``word`` composed with itself k - 1 times: period len(word)^k."""
+    out = word
+    for _ in range(k - 1):
+        out = compose(out, word).symbols
+    return out
 
 
 def default_args(p, tol=1e-13):
@@ -262,6 +272,18 @@ class TestLocate:
         found = locate(word)
         assert found.residual < 1e-13
         assert itinerary(found.r_star, p) == word
+
+    @pytest.mark.parametrize("word, k", [("RC", 7), ("RC", 8), ("RC", 9), ("RLC", 5)])
+    def test_long_composites_return(self, word, k):
+        # Past the unit, the certificate's orbit bound w roughly squares per
+        # step, so these return only if _certify gives up there.  Half a
+        # second each keeps the four within 2 s.
+        target = composite_power(word, k)
+        assert len(target) == len(word) ** k
+        start = time.perf_counter()
+        found = locate(target)
+        assert time.perf_counter() - start < 0.5
+        assert itinerary(found.r_star, len(target)) == target
 
     def test_budget_grows_with_tolerance(self):
         # 200 steps fall short of 1e-100; the default budget adds -log2 tol.
@@ -1030,6 +1052,18 @@ class TestRootEnclosure:
         assert a / 2**bits < 1 + math.sqrt(5) < b / 2**bits
         assert (below, above) == (locator._BELOW, locator._ABOVE)
         assert wait == math.inf
+
+    def test_refuses_once_the_orbit_bound_passes_the_unit(self):
+        # Over [3, 4] the bound w passes the unit within a few steps of the
+        # period-128 doubling word; the certificate is refused at once
+        # instead of w squaring through the remaining steps.
+        word = composite_power("RC", 7)
+        bits = 300
+        args = (word[:-1], sign_sequence(word[:-1] + "R"), bits,
+                *fixed_thresholds(1e-12, 1e-13, bits))
+        start = time.perf_counter()
+        assert locator._certify(3 << bits, 4 << bits, *args) == (None, math.inf)
+        assert time.perf_counter() - start < 0.5
 
     def test_certifies_below_53_bits(self, monkeypatch):
         # The certificate lives in the fixed-point stage's integers, so it

@@ -107,7 +107,7 @@ def test_each_period_enumerated_once_per_run(monkeypatch):
 
 
 def test_bruteforce_list_dropped_after_its_last_reader():
-    run = selftest._Run(8, 1, ["oracle", "counting", "construction"])
+    run = selftest._Run(8, ["oracle", "counting", "construction"])
     words = run.bruteforce(6)
     assert run.bruteforce(6) is words
     assert not run._bruteforce
