@@ -97,6 +97,9 @@ def count_blocks(length: int, max_run: int) -> int:
 
     with out-of-range binomials read as zero, which also absorbs the
     ragged summation limits.
+
+    >>> count_blocks(4, 2)
+    7
     """
     if length < 0 or max_run < 0:
         raise ValueError("length and max_run must be >= 0")

@@ -2,13 +2,10 @@
 
 Three generators live here.
 
-``enumerate_blocks`` builds the interior blocks directly, by tiling a row
-of boxes: write ``m = j*q + rem`` for q = max_run + 1, give each full
-tile of q boxes at least one R, and constrain the first R of a tile to
-sit no later than the previous tile's last R, which caps every L-run at
-q-1 without ever scanning a rejected word.  Each block has one tiling
-and each tile's fillings come sorted, so the blocks come out once each
-and in lexicographic order.
+``enumerate_blocks`` grows the interior blocks from ``R`` one letter at
+a time, each word gaining L (unless it ends in ``max_run`` Ls) before R.
+No rejected word is spelled, and a sorted list of equal-length words stays
+sorted, so the blocks come out once each and in lexicographic order.
 
 ``enumerate_mss_structured`` assembles candidate sequences from head
 groups and interior blocks and keeps the ones the structured test
@@ -31,9 +28,9 @@ rather than by the pairwise comparator, and return them as a
 ``derive_later_blocks`` produces, for a fixed first interior block, the
 blocks that may legally follow it in longer sequences: exactly the words
 whose sign sequence first departs upward from the comparison template
-built from the first block and one head group.  Like the tiling, it
-builds only the words it keeps: each tail after a branch is a short run
-of Ls and an interior block from the same table.
+built from the first block and one head group.  It grows each branch
+prefix by the same one-letter rule, so it too builds only the words it
+keeps.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import NotAdmissibleError
-from .sequences import AdmissibleSeq, _admitted, _shift_maximal_word, _signs, max_l_run
+from .sequences import AdmissibleSeq, _admitted, _shift_maximal_word, _signs
 from .structure import BlockForm, _test_form
 
 __all__ = [
@@ -92,10 +89,13 @@ def _rl_words(n: int, head: str = "", tail: str = ""):
 
 def enumerate_blocks(length: int, max_run: int) -> list[str]:
     """All words of the given length starting with R whose L-runs stay
-    at or below ``max_run``, in the lexicographic order the tiling emits,
-    built afresh on each call: only an enumeration keeps a table of them.
+    at or below ``max_run``, in lexicographic order (L before R), built
+    afresh on each call: only an enumeration keeps a table of them.
 
     length 0 yields the empty list: an absent block is not a block.
+
+    >>> enumerate_blocks(4, 1)
+    ['RLRL', 'RLRR', 'RRLR', 'RRRL', 'RRRR']
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -104,38 +104,17 @@ def enumerate_blocks(length: int, max_run: int) -> list[str]:
     return _blocks(length, max_run)
 
 
+def _extend(words: list[str], max_run: int) -> list[str]:
+    """Each word plus one letter, L before R, keeping L-runs at or below max_run."""
+    cap = "L" * max_run
+    return [w + c for w in words for c in ("R" if w.endswith(cap) else "LR")]
+
+
 def _blocks(length: int, max_run: int) -> list[str]:
-    if length == 0:
-        return []
-    q = max_run + 1
-    tiles, rem = divmod(length, q)
-
-    @functools.lru_cache(maxsize=None)  # for this call only: many prefixes share first_hi
-    def tile_variants(first_hi: int, width: int) -> list[tuple[str, int]]:
-        """Fillings of one width-q tile with first R at or before first_hi
-        and anything between first and last R, as sorted (word, last_r_pos)."""
-        out = []
-        for f in range(1, first_hi + 1):
-            out.append(("L" * (f - 1) + "R" + "L" * (width - f), f))
-            for l in range(f + 1, width + 1):
-                ends = _rl_words(l - f - 1, "L" * (f - 1) + "R", "R" + "L" * (width - l))
-                out.extend((word, l) for word in ends)
-        return sorted(out)
-
-    # The full tiles in order, as (prefix so far, last R of its last tile);
-    # the first tile, or the remainder if there is none, starts with R.
-    prefixes = [("", 1)]
-    for _ in range(tiles):
-        prefixes = [(acc + word, last) for acc, prev_last in prefixes
-                    for word, last in tile_variants(prev_last, q)]
-    free = sorted(_rl_words(rem))  # every remainder, which "" is when there is none
-    out = []
-    for acc, prev_last in prefixes:
-        if prev_last > rem:  # even an all-L remainder stays within the run bound
-            out.extend(map(acc.__add__, free))
-        else:
-            out.extend(acc + word for word, _ in tile_variants(prev_last, rem))
-    return out
+    words = ["R"] if length else []
+    for _ in range(length - 1):
+        words = _extend(words, max_run)
+    return words
 
 
 def derive_later_blocks(q: int, first_block: str, max_len: int) -> list[str]:
@@ -147,38 +126,31 @@ def derive_later_blocks(q: int, first_block: str, max_len: int) -> list[str]:
     there, which turns the entry into +1, and continue with any letters
     that keep every L-run at or below q-1, the splice at the branch point
     included.  No branch prefix is a prefix of another, so every block
-    comes out once.  Only kept blocks are built: after a prefix ending in
-    t Ls, a tail is a leading run of at most q-1-t Ls and then an interior
-    block (see :func:`enumerate_blocks`), and a prefix whose own last
-    L-run exceeds q-1 has none.  Results are capped at ``max_len`` symbols.
+    comes out once.  Each branch prefix grows one letter at a time, like
+    :func:`enumerate_blocks`, up to ``max_len`` symbols.
 
     >>> derive_later_blocks(2, "R", 2)
     ['RL']
     """
     if q < 1:
         raise ValueError("head run q must be >= 1")
-    if not first_block.startswith("R") or max_l_run(first_block) > q - 1:
-        raise NotAdmissibleError(
-            f"{first_block!r} is not an interior block for head run {q}"
-        )
+    if not isinstance(first_block, str):
+        raise TypeError(f"first_block must be a str, got {type(first_block).__name__}")
+    if set(first_block) - {"R", "L"} or first_block[:1] != "R" or "L" * q in first_block:
+        raise NotAdmissibleError(f"{first_block!r} is not an interior block for head run {q}")
     template = first_block + "R" + "L" * q
     sig = _signs(template)  # 0 for a -1 entry, 2 for a +1 entry
-    table = functools.cache(_blocks)  # for this call only
     out = []
     for i in range(1, min(len(template), max_len)):  # 0-based branch position
         if sig[i] or i - 1 - sig.rfind(0, 0, i) > q - 1:
             continue  # a +1 entry, or branching here would splice an over-long L-run
-        prefix = template[:i] + ("L" if template[i] == "R" else "R")
-        # Ls a tail may lead with; only the prefix's last run can exceed q-1, and then
-        # room < 0 leaves no tail
-        room = q - 1 - (len(prefix) - len(prefix.rstrip("L")))
-        for tail_len in range(max_len - i):
-            for lead in range(min(room, tail_len) + 1):
-                head = prefix + "L" * lead
-                if lead == tail_len:
-                    out.append(head)
-                else:
-                    out.extend(map(head.__add__, table(tail_len - lead, q - 1)))
+        # No prefix ends in over q-1 Ls: a flipped L leaves a final R, and the L-run before
+        # an R with entry -1 reads +1 with the R ahead of it, so the skip keeps it <= q-2.
+        level = [template[:i] + ("L" if template[i] == "R" else "R")]
+        out += level
+        for _ in range(max_len - i - 1):
+            level = _extend(level, q - 1)
+            out += level
     return sorted(out)
 
 

@@ -3,6 +3,7 @@
 import doctest
 
 import msskit.composition
+import msskit.counting
 import msskit.generators
 import msskit.locator
 import msskit.sequences
@@ -14,6 +15,7 @@ def test_docstring_examples():
         msskit.sequences,
         msskit.generators,
         msskit.composition,
+        msskit.counting,
         msskit.locator,
         msskit.structure,
     ):

@@ -14,6 +14,7 @@ import msskit
 from msskit import (
     AdmissibleSeq,
     NotAdmissibleError,
+    count_blocks,
     decode_signs,
     derive_later_blocks,
     enumerate_blocks,
@@ -44,10 +45,20 @@ class TestEnumerateBlocks:
         assert set(enumerate_blocks(2, 1)) == {"RR", "RL"}
 
     def test_matches_filter_oracle(self):
-        # list equality: the tiling's own order is the sorted oracle's
+        # list equality: growing each word by L before R keeps the oracle's sorted order
         for m in range(0, 15):
             for run in range(0, max(m, 6) + 1):
                 assert enumerate_blocks(m, run) == brute_blocks(m, run), (m, run)
+
+    def test_tables_past_the_oracle(self):
+        # the lengths _candidates draws at p ~ 22, past the filter oracle's reach
+        for m in range(15, 21):
+            for run in range(0, 4):
+                got = enumerate_blocks(m, run)
+                assert all(a < b for a, b in zip(got, got[1:])), (m, run)  # sorted, no repeats
+                over = "L" * (run + 1)
+                assert all(len(w) == m and w[0] == "R" and over not in w for w in got), (m, run)
+                assert len(got) == count_blocks(m, run), (m, run)
 
     def test_run_zero(self):
         # No Ls allowed at all.
@@ -129,6 +140,11 @@ class TestDeriveLaterBlocks:
             derive_later_blocks(2, "LR", 4)
         with pytest.raises(NotAdmissibleError):
             derive_later_blocks(2, "RLL", 4)  # run 2 needs head run >= 3
+        for bad in ("RC", "RX", "R L"):
+            with pytest.raises(NotAdmissibleError):
+                derive_later_blocks(2, bad, 4)
+        with pytest.raises(TypeError, match="must be a str, got int"):
+            derive_later_blocks(2, 5, 4)
 
     def test_blocks_satisfy_run_bound(self):
         for q in (2, 3):
