@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .composition import _divisor_scan
-from .generators import enumerate_blocks, enumerate_mss_structured
+from .generators import _check_int, enumerate_blocks, enumerate_mss_structured
 from .sequences import AdmissibleSeq
 from .structure import _single_group_q
 
@@ -54,6 +54,7 @@ class DivisorSet:
 
 def divisor_set(p: int) -> DivisorSet:
     """All divisors of p, sorted ascending."""
+    _check_int("p", p)
     if p < 1:
         raise ValueError("p must be >= 1")
     small, large = [], []
@@ -75,6 +76,7 @@ def proper_divisors(p: int) -> DivisorSet:
 
 def count_nonprimary_single_group(p: int) -> int:
     """Count of non-primary period-p sequences with a single head group."""
+    _check_int("p", p)
     if p < 2:
         raise ValueError("p must be >= 2")
     return len(divisor_set(p).divisors) - 2
@@ -101,6 +103,8 @@ def count_blocks(length: int, max_run: int) -> int:
     >>> count_blocks(4, 2)
     7
     """
+    _check_int("length", length)
+    _check_int("max_run", max_run)
     if length < 0 or max_run < 0:
         raise ValueError("length and max_run must be >= 0")
     if length == 0:
@@ -123,6 +127,7 @@ def count_nonprimary_cores(p: int) -> int:
     so the sum equals the number of distinct inner factors observed when
     factoring all period-p sequences.
     """
+    _check_int("p", p)
     if p < 2:
         raise ValueError("p must be >= 2")
     total = 0

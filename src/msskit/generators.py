@@ -7,15 +7,18 @@ a time, each word gaining L (unless it ends in ``max_run`` Ls) before R.
 No rejected word is spelled, and a sorted list of equal-length words stays
 sorted, so the blocks come out once each and in lexicographic order.
 
-``enumerate_mss_structured`` assembles candidate sequences from head
-groups and interior blocks and keeps the ones the structured test
-accepts.  Each candidate is built from its block form with a single
-leading head group, nonempty blocks and no L-run above q, so it passes
-the test's filters by construction, and the form goes straight to the
-test's private core instead of being parsed back out of the word.  A
-candidate with one head group has no critical shift, and the test
-accepts every such word, so it is kept without a call.  The table of
-blocks it draws from lasts one enumeration: no cache outlives the call.
+``enumerate_mss_structured`` builds candidate sequences the way the
+paper writes them, ``(R L^q)^(n_1) S_1 (R L^q)^(n_2) S_2 ... C``, and keeps
+the ones the structured test accepts.  Per head run q, one recursion
+appends a group ``(R L^q)^n S`` at a time: n is 1 in the first group,
+every block S is nonempty with no L-run above q-1, and no remainder too
+short for another group is left.  So each candidate passes the test's
+filters by construction, the candidates sharing q and S_1 come out
+together, and the form goes straight to the test's private core instead
+of being parsed back out of the word.  A candidate with one head group
+has no critical shift, and the test accepts every such word, so it is
+kept without a call.  The table of blocks it draws from lasts one
+enumeration: no cache outlives the call.
 ``enumerate_mss_bruteforce`` filters the full candidate space
 ``R {L,R}^(p-2) C`` with the direct shift-maximality test and serves as
 the oracle the structured path is validated against (practical up to
@@ -75,6 +78,12 @@ class PeriodEnumeration:
         return list(self.rows)
 
 
+def _check_int(name: str, value) -> None:
+    """Raise a TypeError unless ``value`` is an int."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def _rl_words(n: int, head: str = "", tail: str = ""):
     """``head + w + tail`` for every word w over {R, L} of length n, in
     ``itertools.product("RL", repeat=n)`` order.  The last six letters (or
@@ -97,6 +106,8 @@ def enumerate_blocks(length: int, max_run: int) -> list[str]:
     >>> enumerate_blocks(4, 1)
     ['RLRL', 'RLRR', 'RRLR', 'RRRL', 'RRRR']
     """
+    _check_int("length", length)
+    _check_int("max_run", max_run)
     if length < 0:
         raise ValueError("length must be >= 0")
     if max_run < 0:
@@ -132,6 +143,8 @@ def derive_later_blocks(q: int, first_block: str, max_len: int) -> list[str]:
     >>> derive_later_blocks(2, "R", 2)
     ['RL']
     """
+    _check_int("q", q)
+    _check_int("max_len", max_len)
     if q < 1:
         raise ValueError("head run q must be >= 1")
     if not isinstance(first_block, str):
@@ -154,42 +167,41 @@ def derive_later_blocks(q: int, first_block: str, max_len: int) -> list[str]:
     return sorted(out)
 
 
-def _positive_compositions(total: int, parts: int):
-    """``total`` as ``parts`` positive summands, in lexicographic order (stars and bars)."""
-    cuts = itertools.combinations(range(1, total), parts - 1) if total > 0 else ()
-    return (tuple(b - a for a, b in zip((0, *c), (*c, total))) for c in cuts)
+def _groups(rest: int, body: str, runs: tuple, head: str, table):
+    """``body`` and its ``runs`` completed by groups ``head^n S`` filling
+    ``rest`` more letters, then C.  n is 1 in the first group and any n >= 1
+    after it; S is a nonempty block from ``table``.  No remainder shorter
+    than a group (one head copy and one letter) is left, so every table
+    entry drawn serves some candidate.  It lives at module level: a nested
+    function that calls itself is a reference cycle, which would hold the
+    table past the enumeration until the next garbage collection."""
+    if not rest:
+        yield body + "C", runs
+        return
+    unit = len(head)
+    for n in range(1, (rest - 1) // unit + 1 if runs else 2):
+        for m in range(1, rest - n * unit + 1):
+            left = rest - n * unit - m
+            if left == 0 or left > unit:
+                for s in table(m, unit - 2):
+                    yield from _groups(left, body + head * n + s, runs + ((n, s),), head, table)
 
 
 def _candidates(p: int):
     """Every candidate word of period p with the block form it was built from.
 
-    Per head run q: the bare ``R L^(p-2) C``, then for each group count
-    the exponent vectors and interior-block choices that reach period p.
-    Every form has a single leading head group, interior blocks whose
-    L-runs stay below q, and, with two or more groups, only nonempty
-    blocks: each passes the filters of the structured test by
-    construction.
+    First the bare ``R L^(p-2) C``, then per head run q the words grown one
+    group ``(R L^q)^n S`` at a time by :func:`_groups`, so the candidates
+    sharing q and the first block S_1 come out together.  Every form has a
+    single leading head group, interior blocks whose L-runs stay below q,
+    and, with two or more groups, only nonempty blocks: each passes the
+    filters of the structured test by construction.
     """
     yield "R" + "L" * (p - 2) + "C", BlockForm(p - 2, ((1, ""),))
     table = functools.cache(_blocks)  # for this enumeration only
-    body_len = p - 1
     for q in range(1, p - 2):
-        unit = q + 1
-        max_groups = (body_len - unit) // (unit + 1) + 1
-        for r in range(1, max_groups + 1):
-            exp_budget = (body_len - r) // unit - 1  # total extra head copies
-            if exp_budget < r - 1:
-                continue
-            for exponents in itertools.product(range(1, exp_budget - r + 3), repeat=r - 1):
-                copies = 1 + sum(exponents)
-                m_total = body_len - unit * copies
-                if m_total < r:
-                    continue
-                counts = (1,) + exponents
-                for lens in _positive_compositions(m_total, r):
-                    for blocks in itertools.product(*(table(m, q - 1) for m in lens)):
-                        form = BlockForm(q, tuple(zip(counts, blocks)))
-                        yield form._body() + "C", form
+        for word, runs in _groups(p - 1, "", (), "R" + "L" * q, table):
+            yield word, BlockForm(q, runs)
 
 
 def enumerate_mss_structured(p: int) -> PeriodEnumeration:
@@ -200,7 +212,11 @@ def enumerate_mss_structured(p: int) -> PeriodEnumeration:
     structured test: nothing is parsed or decomposed again.  A candidate
     with a single head group is accepted without a test, as the test
     accepts every such word.  Output is sorted in parity-lex order.
+
+    >>> enumerate_mss_structured(6).words()
+    ['RLRRRC', 'RLLRLC', 'RLLRRC', 'RLLLRC', 'RLLLLC']
     """
+    _check_int("period", p)
     if p < 2:
         raise ValueError("period must be >= 2")
     accepted = [
@@ -215,6 +231,7 @@ def enumerate_mss_structured(p: int) -> PeriodEnumeration:
 def enumerate_mss_bruteforce(p: int) -> PeriodEnumeration:
     """Oracle enumeration: filter every candidate word of period p,
     sequentially, with the direct shift-maximality test."""
+    _check_int("period", p)
     if p < 2:
         raise ValueError("period must be >= 2")
     words = list(filter(_shift_maximal_word, _rl_words(p - 2, "R", "C")))

@@ -26,6 +26,14 @@ class TestDivisors:
     def test_divisor_set(self):
         assert divisor_set(12).divisors == (1, 2, 3, 4, 6, 12)
         assert divisor_set(1).divisors == (1,)
+        for count in (divisor_set, proper_divisors, count_nonprimary_single_group,
+                      count_nonprimary_cores):
+            for bad, kind in ((6.0, "float"), ("6", "str"), (None, "NoneType")):
+                with pytest.raises(TypeError, match=f"p must be an int, got {kind}"):
+                    count(bad)
+        for args in ((3.0, 1), (3, 1.0)):
+            with pytest.raises(TypeError, match="must be an int, got float"):
+                count_blocks(*args)
 
     @pytest.mark.parametrize(
         "p,expect", [(12, (2, 3, 4, 6)), (7, ()), (9, (3,)), (4, (2,))]

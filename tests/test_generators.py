@@ -25,7 +25,7 @@ from msskit import (
     sign_sequence,
     sort_parity_lex,
 )
-from msskit.generators import _positive_compositions, _rl_words
+from msskit.generators import _rl_words
 from msskit.sequences import _signs
 from msskit.structure import block_decompose, is_mss_structured
 
@@ -70,15 +70,9 @@ class TestEnumerateBlocks:
             enumerate_blocks(-1, 2)
         with pytest.raises(ValueError):
             enumerate_blocks(3, -1)
-
-
-class TestCompositions:
-    def test_match_a_product_filter(self):
-        for total in range(0, 11):
-            for parts in range(1, 6):
-                brute = [c for c in itertools.product(range(1, total + 1), repeat=parts)
-                         if sum(c) == total]
-                assert list(_positive_compositions(total, parts)) == brute, (total, parts)
+        for args in ((3, 1.0), (3.0, 1)):
+            with pytest.raises(TypeError, match="must be an int, got float"):
+                enumerate_blocks(*args)
 
 
 _HELD_AFTER_RETURN = """
@@ -116,6 +110,26 @@ class TestEnumerationMemory:
         assert int(held) - int(rows) < 64 * 1024, (held, rows)
         assert same == "True"  # a second call, with no table left, builds equal rows
 
+    def test_every_block_table_serves_a_candidate(self, monkeypatch):
+        # A table is built only for a block length and run bound some
+        # candidate draws from: no branch ends in a remainder too short
+        # for another group.
+        from msskit import generators
+
+        keys = []
+        blocks = generators._blocks
+
+        def recording(length, max_run):
+            keys.append((length, max_run))
+            return blocks(length, max_run)
+
+        monkeypatch.setattr(generators, "_blocks", recording)
+        enumerate_mss_structured(18)
+        built = set(keys)
+        served = {(len(s), form.q - 1)
+                  for _, form in generators._candidates(18) for _, s in form.runs if s}
+        assert built and built <= served, sorted(built - served)
+
 
 class TestDeriveLaterBlocks:
     def test_contains_rl(self):
@@ -145,6 +159,10 @@ class TestDeriveLaterBlocks:
                 derive_later_blocks(2, bad, 4)
         with pytest.raises(TypeError, match="must be a str, got int"):
             derive_later_blocks(2, 5, 4)
+        with pytest.raises(TypeError, match="q must be an int, got float"):
+            derive_later_blocks(2.0, "R", 4)
+        with pytest.raises(TypeError, match="max_len must be an int, got float"):
+            derive_later_blocks(2, "R", 4.0)
 
     def test_blocks_satisfy_run_bound(self):
         for q in (2, 3):
@@ -334,6 +352,10 @@ class TestEnumerators:
     def test_invalid_period(self):
         with pytest.raises(ValueError):
             enumerate_mss_structured(1)
+        for enumerate_mss in (enumerate_mss_structured, enumerate_mss_bruteforce):
+            for bad, kind in ((6.0, "float"), ("6", "str"), (None, "NoneType")):
+                with pytest.raises(TypeError, match=f"period must be an int, got {kind}"):
+                    enumerate_mss(bad)
 
     def test_enumeration_invariants(self):
         enum = enumerate_mss_structured(11)

@@ -23,6 +23,7 @@ from msskit.structure import (
     RULE_RUN_BOUND,
     RuleDisagreement,
     StructuredVerdict,
+    _structured_verdict,
 )
 
 from conftest import all_candidates
@@ -276,13 +277,21 @@ class TestGeneratorHandoff:
         from msskit.generators import _candidates
         from msskit.structure import _test_form
 
+        filtered = {RULE_RUN_BOUND, RULE_HEAD_EXPONENT, RULE_EMPTY_TAIL}
         seen = 0
         for p in range(2, 17):
+            words = []
             for word, form in _candidates(p):
-                seen += 1
+                words.append(word)
                 assert len(word) == p
                 assert form == block_decompose(word), word
                 assert _test_form(form, word) == is_mss_structured(word), word
+            seen += len(words)
+            # once each, and exactly the words the test's filters let through
+            assert len(set(words)) == len(words), p
+            expected = {w for w in all_candidates(p)
+                        if _structured_verdict(w).failing_rule not in filtered}
+            assert set(words) == expected, p
         assert seen == 5068
 
     def test_run_bound_shift_is_error_position(self):
