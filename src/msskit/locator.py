@@ -83,6 +83,7 @@ from mpmath.libmp import finf, fnan, fninf, from_float, from_man_exp, mpf_abs, m
 from mpmath.libmp import round_nearest, to_fixed, to_float
 
 from .errors import LocateError, NotMssError
+from .generators import _check_int
 from .sequences import SeqLike, as_sequence, expand_exponents, is_shift_maximal, sign_sequence
 from .sequences import _checked, _signs
 
@@ -200,6 +201,7 @@ def itinerary(r: Param, steps: int, eps: float = _DEFAULT_EPS) -> str:
     >>> itinerary(locate("RLRRC").r_star, 5)
     'RLRRC'
     """
+    _check_int("steps", steps)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     _check_eps(eps)
@@ -684,6 +686,7 @@ def order_report(pmax: int, tol: float = _DEFAULT_TOL) -> list[LocatedSequence]:
     """
     from .generators import enumerate_mss_structured
 
+    _check_int("pmax", pmax)
     if pmax < 2:
         raise ValueError("pmax must be >= 2")
     _check_tol(tol)

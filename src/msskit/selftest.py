@@ -39,7 +39,7 @@ from .counting import (
 )
 from .errors import ShapeError
 from .generators import PeriodEnumeration, enumerate_mss_bruteforce, enumerate_mss_structured
-from .generators import _rl_words
+from .generators import _check_int, _rl_words
 from .sequences import _shift_maximal_signs_mask, is_shift_maximal
 from .structure import _structured_verdict
 
@@ -212,6 +212,7 @@ SUITES = {
 def run_selftest(pmax: int = 14, suites=None) -> list[CheckResult]:
     """Run the chosen suites in order: ``suites`` is one name, a list of
     names, or None for all of :data:`SUITES`."""
+    _check_int("pmax", pmax)
     if pmax < 2:
         raise ValueError("pmax must be >= 2")
     if isinstance(suites, str):

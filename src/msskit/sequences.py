@@ -30,11 +30,15 @@ to a private core, which the selftest oracle calls directly on words
 admissible by construction.
 
 Input text may compress letter runs as ``RL^4RC``; see
-:func:`parse_sequence`.  A word is validated once, where it enters the
-package (:func:`parse_sequence`, :func:`as_sequence` or the
-:class:`AdmissibleSeq` constructor).  Words built admissible by
-construction (enumerated rows, compositions, factors) are wrapped by the
-private :func:`_admitted`, which checks nothing.
+:func:`parse_sequence`.  :func:`expand_exponents` reads each caret with
+one lookup in a module-level memo of the pieces between carets.  The
+memo is bounded (2,048 short pieces, below 1 MiB) and an entry depends
+on its key alone, so no result depends on what it holds.  A word is
+validated once, where it enters the package (:func:`parse_sequence`,
+:func:`as_sequence` or the :class:`AdmissibleSeq` constructor).  Words
+built admissible by construction (enumerated rows, compositions,
+factors) are wrapped by the private :func:`_admitted`, which checks
+nothing.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ from __future__ import annotations
 import enum
 import functools
 import re
+import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import NotAdmissibleError
 
@@ -74,6 +79,13 @@ _NEGATE = bytes.maketrans(b"\x00\x02", b"\x02\x00")  # -1 <-> +1 in _signs' byte
 _MAX_LENGTH = 10**6  # longest word run notation may expand to
 _MAX_DIGITS = len(str(_MAX_LENGTH))
 _TOO_LONG = f"run notation expands to more than {_MAX_LENGTH} symbols"
+# Memo of run notation: one caret's piece, keyed by the letter before the
+# caret, to (symbols added, expansion, last letter); see expand_exponents.
+_RUNS: dict[str, tuple[int, str, str]] = {}
+_RUNS_LOCK = threading.Lock()
+_MEMO_SIZE = 2048  # at most 0.72 MiB with the widest keys; 4,096 entries could pass 1 MiB
+_MEMO_PIECE = 16
+_MEMO_EXPONENT = 64
 _REPEAT_RE = re.compile(r"(.)\1+", re.DOTALL)
 _L_RUN_RE = re.compile("L+")
 
@@ -91,13 +103,20 @@ def expand_exponents(text: str) -> str:
 
     Grammar: a sequence of letters R/L/C, each optionally followed by
     ``^k`` with k a positive decimal integer.  A plain word of R, L and
-    C alone is returned as it is.  Otherwise one scan splits the text at
-    its carets: letters first, then each piece is an exponent's digits
-    and the letters after it.  A word longer than ``_MAX_LENGTH``
-    symbols is rejected before any run is built, and an exponent reaches
-    ``int()`` only when it has at most ``_MAX_DIGITS`` digits besides its
-    leading zeros.  A zero exponent is reported first, then a syntax
-    error, then the length.  Anything but a ``str`` raises ``TypeError``.
+    C alone is returned as it is.  Otherwise the text is split once at
+    its carets, and each caret costs one lookup in a memo keyed by the
+    letter before it and the piece after it, an exponent's digits and
+    the letters up to the next caret.  A miss reads the piece with
+    :func:`_run`.  The memo holds at most ``_MEMO_SIZE`` pieces, each
+    valid, of at most ``_MEMO_PIECE`` characters and with an exponent
+    of at most ``_MEMO_EXPONENT``, so it stays below 1 MiB whatever the
+    input.  A key's entry depends on the key alone, so no result depends
+    on what the memo holds.  A word longer than ``_MAX_LENGTH`` symbols
+    is rejected before any run longer than ``_MEMO_EXPONENT`` is built,
+    and an exponent reaches ``int()`` only when it has at most
+    ``_MAX_DIGITS`` digits besides its leading zeros.  A zero exponent
+    is reported first, then a syntax error, then the length.  Anything
+    but a ``str`` raises ``TypeError``.
     """
     if not isinstance(text, str):
         raise TypeError(f"run notation must be a str, got {type(text).__name__}")
@@ -106,22 +125,54 @@ def expand_exponents(text: str) -> str:
         if len(text) > _MAX_LENGTH:
             raise NotAdmissibleError(_TOO_LONG)
         return text
-    if tail[0] != "^":
+    start = len(text) - len(tail)
+    if not start or tail[0] != "^":
         raise _syntax_error(text)
-    word = text[: len(text) - len(tail)]  # the letters before the current caret
-    words, counts = [], []
+    parts, size, last, late = [text[:start]], start, text[start - 1], []
     for piece in tail[1:].split("^"):
-        digits = piece.rstrip("RLC")
-        if not (word and digits.isdecimal()):
-            raise _syntax_error(text)
-        counts.append(int(digits) if len(digits) <= _MAX_DIGITS else _long_exponent(digits))
-        words.append(word)
-        word = piece[len(digits):]
-    if 0 in counts:
-        raise NotAdmissibleError(f"exponent must be positive in {text!r}")
-    if sum(map(len, words)) + len(word) - len(counts) + sum(counts) > _MAX_LENGTH:
+        key = last + piece
+        run = _RUNS.get(key)
+        if run is None:
+            run = _run(text, key)
+            if run[1] is None:  # a long run, built once the length is known
+                late.append((len(parts), key))
+        added, expansion, last = run
+        size += added
+        parts.append(expansion)
+    if size > _MAX_LENGTH:
         raise NotAdmissibleError(_TOO_LONG)
-    return "".join([w + w[-1] * (n - 1) for w, n in zip(words, counts)]) + word
+    for i, key in late:
+        parts[i] = _run(text, key, build=True)[1]
+    return "".join(parts)
+
+
+def _run(text: str, key: str, build: bool = False) -> tuple[int, Optional[str], str]:
+    """``(symbols added, expansion, last letter)`` of one caret of ``text``,
+    where ``key`` is the letter before the caret and the piece after it.
+
+    The last letter is ``"^"`` after a piece of digits alone, so that a
+    further caret breaks the grammar.  A grammar break or a zero exponent
+    raises :func:`_syntax_error`.  A run of more than ``_MEMO_EXPONENT``
+    letters is built only when ``build`` is set, else its expansion is
+    None; any other run is memoized while the memo has room and the
+    piece has at most ``_MEMO_PIECE`` characters."""
+    letter, piece = key[0], key[1:]
+    digits = piece.rstrip("RLC")
+    if letter == "^" or not digits.isdecimal():
+        raise _syntax_error(text)
+    n = int(digits) if len(digits) <= _MAX_DIGITS else _long_exponent(digits)
+    if not n:
+        raise _syntax_error(text)
+    letters = piece[len(digits):]
+    added, last = n - 1 + len(letters), letters[-1:] or "^"
+    if n > _MEMO_EXPONENT and not build:
+        return added, None, last
+    run = added, letter * (n - 1) + letters, last
+    if n <= _MEMO_EXPONENT and len(piece) <= _MEMO_PIECE:
+        with _RUNS_LOCK:  # check and insert as one step: no thread passes the cap
+            if len(_RUNS) < _MEMO_SIZE:
+                _RUNS[key] = run
+    return run
 
 
 def _syntax_error(text: str) -> NotAdmissibleError:
@@ -155,7 +206,14 @@ def _long_exponent(digits: str) -> int:
 
 def compress_exponents(word: str) -> str:
     """Inverse of :func:`expand_exponents`: collapse letter runs of length >= 2."""
+    _check_word(word)
     return _REPEAT_RE.sub(lambda m: f"{m[1]}^{len(m[0])}", word)
+
+
+def _check_word(word) -> None:
+    """Raise a TypeError unless ``word`` is a str."""
+    if not isinstance(word, str):
+        raise TypeError(f"word must be a str, got {type(word).__name__}")
 
 
 @dataclass(frozen=True)
@@ -444,6 +502,7 @@ def _shift_maximal_signs_mask(words: Sequence[str]) -> int:
 
 def max_l_run(word: str) -> int:
     """Length of the longest run of consecutive Ls."""
+    _check_word(word)
     return max(map(len, _L_RUN_RE.findall(word)), default=0)
 
 

@@ -151,6 +151,8 @@ class TestItinerary:
             itinerary(4.0, 0)
         with pytest.raises(ValueError):
             itinerary(5.0, 3)
+        with pytest.raises(TypeError, match="^steps must be an int, got float$"):
+            itinerary(3.5, 4.0)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -1])
     def test_rejects_bad_eps(self, eps):
@@ -487,6 +489,11 @@ class TestOrder:
         monkeypatch.setattr(generators, "enumerate_mss_structured", with_a_stranger)
         with pytest.raises(NotMssError, match="^RLRLC is not an MSS-sequence$"):
             order_report(6)
+
+    @pytest.mark.parametrize("report", [order_report, verify_order])
+    def test_rejects_a_pmax_that_is_not_an_int(self, report):
+        with pytest.raises(TypeError, match="^pmax must be an int, got float$"):
+            report(8.0)
 
     @pytest.mark.parametrize("tol", ["x", None, Fraction(1, 10**13), 0, -1.0, math.nan,
                                      math.inf, mpf("-inf")])

@@ -129,3 +129,8 @@ def test_enumerated_words_proved_once(monkeypatch):
 def test_bare_string_names_one_suite():
     assert run_selftest(pmax=6, suites="oracle") == run_selftest(pmax=6, suites=["oracle"])
     assert [r.suite for r in run_selftest(pmax=6, suites="counting")] == ["counting"] * 3
+
+
+def test_rejects_a_pmax_that_is_not_an_int():
+    with pytest.raises(TypeError, match="^pmax must be an int, got float$"):
+        run_selftest(8.0)

@@ -3,6 +3,8 @@
 import itertools
 import re
 import sys
+import threading
+import time
 import tracemalloc
 
 import pytest
@@ -32,6 +34,7 @@ from msskit import (
     sign_sequence,
     sort_parity_lex,
 )
+from msskit import sequences
 from msskit.selftest import run_selftest
 from msskit.sequences import _admitted, as_sequence
 
@@ -108,11 +111,66 @@ class TestParsing:
     def test_matches_grammar_exhaustively(self):
         # Every string over R, L, C, ^, 0, 1 and a foreign letter up to length
         # 6: the offsets of syntax errors and the zero -> syntax -> length order.
-        for n in range(7):
-            for chars in itertools.product("RLC^0x1", repeat=n):
-                text = "".join(chars)
-                assert outcome(expand_exponents, text) == outcome(grammar_expand, text), text
-                assert outcome(AdmissibleSeq.parse, text) == outcome(grammar_parse, text), text
+        # From an empty memo, the second pass reads every valid piece the
+        # first one memoized (282 of them, far below the cap).
+        sequences._RUNS.clear()
+        for _ in range(2):
+            for n in range(7):
+                for chars in itertools.product("RLC^0x1", repeat=n):
+                    text = "".join(chars)
+                    assert outcome(expand_exponents, text) == outcome(grammar_expand, text), text
+                    assert outcome(AdmissibleSeq.parse, text) == outcome(grammar_parse, text), text
+
+    def test_run_memo_is_bounded(self):
+        # 10,000 texts whose pieces are all distinct: a first piece of the
+        # largest kind the memo holds (16 characters, exponent 64, digits of
+        # the widest str kind), then a run past its exponent cap, never held.
+        runs = sequences._RUNS
+        six_four = "\N{MATHEMATICAL BOLD DIGIT SIX}\N{MATHEMATICAL BOLD DIGIT FOUR}"
+        runs.clear()
+        tracemalloc.start()
+        try:
+            for i in range(10_000):
+                tail = format(i, "014b").translate(str.maketrans("01", "LR"))
+                word = expand_exponents(f"R^{six_four}{tail}^{65 + i}C")
+                assert word == "R" * 64 + tail + tail[-1] * (64 + i) + "C"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            held = sorted(runs)
+            runs.clear()
+        assert len(held) == sequences._MEMO_SIZE <= 4096
+        assert all(len(key) == 17 for key in held)
+        assert peak < 1 << 20
+
+    def test_run_memo_cap_holds_across_threads(self, monkeypatch):
+        # Eight threads race to memoize twice as many distinct pieces as fit.
+        # This memo hands the interpreter to another thread after it reads its
+        # size, so a size check apart from the insert would let it pass the cap.
+        class Yielding(dict):
+            def __len__(self):
+                size = super().__len__()
+                time.sleep(1e-4)
+                return size
+
+        runs = Yielding()
+        monkeypatch.setattr(sequences, "_RUNS", runs)
+        wrong = []
+
+        def expand_share(first):
+            for i in range(first, 2 * sequences._MEMO_SIZE, 8):
+                tail = format(i, "014b").translate(str.maketrans("01", "LR"))
+                if expand_exponents(f"R^2{tail}C") != "RR" + tail + "C":
+                    wrong.append(i)
+
+        threads = [threading.Thread(target=expand_share, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert dict.__len__(runs) == sequences._MEMO_SIZE
 
     def test_reads_every_decimal_digit_as_the_grammar_does(self):
         # \d and int() take any Unicode decimal digit, such as ARABIC-INDIC THREE
@@ -137,6 +195,10 @@ class TestParsing:
             as_sequence(value)
         with pytest.raises(TypeError, match=f"AdmissibleSeq symbols must be a str, got {name}$"):
             AdmissibleSeq(value)
+        with pytest.raises(TypeError, match=f"word must be a str, got {name}$"):
+            compress_exponents(value)
+        with pytest.raises(TypeError, match=f"word must be a str, got {name}$"):
+            max_l_run(value)
 
     def test_expand(self):
         assert expand_exponents("RL^2RC") == "RLLRC"
